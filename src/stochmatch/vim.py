@@ -15,13 +15,19 @@ address carries the set of vertices it concerns.  That makes the output at a
 vertex a measurable function of a bounded ball around it in the crucial
 graph, which ``dependency_radius`` verifies empirically by resampling all
 randomness outside a ball and checking the vertex's output never changes.
+
+Each recursion node holds the hash state of its path (a ``KeyedPrefix``),
+and its children extend that state by their ``("rec", level, slot)`` step.
+A slot draw hashes only its pre-encoded ``("real", level, slot, edge)``
+tail, and an MIS priority only its round and walk; since the hash streams,
+every value equals the full-key ``keyed_uniform`` it replaces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .decomposition import EdgeClassification
 from .errors import ConflictGraphCapError, ParameterOverflowError
 from .graph import Matching, Realization
 from .mis import luby_rounds, mis_round_budget
-from .randomness import keyed_uniform
+from .randomness import KeyedPrefix, encode_key
 
 __all__ = [
     "VimParams",
@@ -227,61 +233,90 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     the core walk's vertices and have the same effect when applied.
     Enumeration order is canonical: walks are deduplicated against their
     reversal and sorted by first endpoint, then steps.
+
+    The depth-first search keeps each slot's cover count of every vertex
+    under the walk so far, and the number of (slot, vertex) pairs covered
+    more than once.  Steps alternate add and remove, so an interior visit
+    leaves a vertex's slot count unchanged and each endpoint gains one; an
+    odd-length walk is therefore augmenting exactly when its endpoints differ
+    and no pair is over-covered, an O(1) check per step.  Every walk is
+    reached once from each end and kept in its smaller orientation only.
     """
     cadj = profile.cls.crucial_adjacency()
-    n_slots = profile.n_slots
-    found: dict[tuple, Hyperwalk] = {}
+    n = profile.cls.graph.n
+    add_slots: dict[int, list[int]] = {}
+    rem_slots: dict[int, list[int]] = {}
+    count = []
+    for s, (real, mat) in enumerate(zip(profile.realized, profile.matchings)):
+        for e in real - mat:
+            add_slots.setdefault(e, []).append(s)
+        for e in mat:
+            rem_slots.setdefault(e, []).append(s)
+        row = [0] * n
+        for v in profile.cover[s]:
+            row[v] = 1
+        count.append(row)
+    found: list[Hyperwalk] = []
+    steps: list[tuple[int, int]] = []
+    verts: list[int] = []
+    used: set[tuple[int, int]] = set()
+    over = 0
 
-    def consider(steps, verts):
-        walk = _canonical_walk(steps, verts)
-        key = (walk.steps, walk.vertices)
-        if key not in found and is_augmenting(profile, walk):
-            found[key] = walk
-
-    def extend(cur, steps, verts, used):
-        pos = len(steps) + 1
-        odd = pos % 2 == 1
+    def extend(cur, odd):
+        nonlocal over
+        slot_lists = add_slots if odd else rem_slots
+        d = 1 if odd else -1
         for nbr, e in cadj.get(cur, ()):
-            for s in range(n_slots):
+            for s in slot_lists.get(e, ()):
                 step = (e, s)
                 if step in used:
                     continue
-                if odd:
-                    if e not in profile.realized[s] or e in profile.matchings[s]:
-                        continue
-                else:
-                    if e not in profile.matchings[s]:
-                        continue
+                row = count[s]
+                before = (row[cur] > 1) + (row[nbr] > 1)
+                row[cur] += d
+                row[nbr] += d
+                moved = (row[cur] > 1) + (row[nbr] > 1) - before
+                over += moved
                 steps.append(step)
                 verts.append(nbr)
                 used.add(step)
-                if odd and nbr not in saturated:
-                    consider(steps, verts)
+                if odd and not over and nbr != verts[0] and nbr not in saturated:
+                    fwd = (tuple(steps), tuple(verts))
+                    if fwd < (fwd[0][::-1], fwd[1][::-1]):
+                        found.append(Hyperwalk(*fwd))
                 if len(steps) < walk_cap:
-                    extend(nbr, steps, verts, used)
+                    extend(nbr, not odd)
                 steps.pop()
                 verts.pop()
                 used.discard(step)
+                row[cur] -= d
+                row[nbr] -= d
+                over -= moved
 
     for v0 in sorted(cadj):
         if v0 in saturated:
             continue
-        extend(v0, [], [v0], set())
-    return sorted(found.values(), key=lambda w: (w.vertices[0], w.steps))
+        verts.append(v0)
+        extend(v0, True)
+        verts.pop()
+    found.sort(key=lambda w: (w.vertices[0], w.steps))
+    return found
 
 
 def build_conflict_graph(walks) -> list[set[int]]:
     """One node per walk; an edge whenever two walks share a vertex."""
-    by_vertex: dict[int, list[int]] = {}
+    by_vertex: dict[int, set[int]] = {}
     for i, w in enumerate(walks):
-        for v in set(w.vertices):
-            by_vertex.setdefault(v, []).append(i)
-    adj: list[set[int]] = [set() for _ in walks]
-    for group in by_vertex.values():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                adj[group[a]].add(group[b])
-                adj[group[b]].add(group[a])
+        for v in w.vertices:
+            by_vertex.setdefault(v, set()).add(i)
+    adj: list[set[int]] = []
+    for i, w in enumerate(walks):
+        # Built from one iterable, each set's table fits its elements;
+        # set().union(*groups) sizes it for the sum of the groups, which
+        # doubles peak memory on dense conflict graphs.
+        nbrs = set(chain.from_iterable(by_vertex[v] for v in w.vertices))
+        nbrs.discard(i)
+        adj.append(nbrs)
     return adj
 
 
@@ -306,35 +341,6 @@ def apply_hyperwalks(profile: Profile, walks) -> Profile:
     return Profile(profile.cls, profile.realized, matchings)
 
 
-class KeyedUniforms:
-    """Addressable uniforms; the locus records which vertices a draw concerns."""
-
-    __slots__ = ("master_seed", "prefix")
-
-    def __init__(self, master_seed: int, prefix: tuple = ()):
-        self.master_seed = int(master_seed)
-        self.prefix = tuple(prefix)
-
-    def u(self, key: tuple, locus=None) -> float:
-        return keyed_uniform(self.master_seed, self.prefix + key)
-
-
-class PerturbedUniforms:
-    """Wraps a base source, resampling every draw whose locus leaves a region."""
-
-    __slots__ = ("base", "trial", "keep")
-
-    def __init__(self, base: KeyedUniforms, trial: int, keep: Callable):
-        self.base = base
-        self.trial = trial
-        self.keep = keep
-
-    def u(self, key: tuple, locus=None) -> float:
-        if locus is not None and self.keep(locus):
-            return self.base.u(key, locus)
-        return self.base.u(key + ("pert", self.trial), locus)
-
-
 @dataclass
 class LevelTrace:
     level: int
@@ -343,6 +349,7 @@ class LevelTrace:
     selected: int
     candidates: int
     mis_rounds: int
+    mis_undecided: int
     slot_sizes: tuple[int, ...]
 
 
@@ -358,7 +365,7 @@ class VimEngine:
         self.cls = classification
         self.params = params
         self.master_seed = int(seed)
-        self.rand = KeyedUniforms(self.master_seed, ("vim",))
+        self.rand = KeyedPrefix(self.master_seed, ("vim",))
         self._gamma: dict[int, np.ndarray] = {}
         self._gamma_se: dict[int, np.ndarray] = {}
         self._saturated: dict[int, frozenset[int]] = {}
@@ -369,17 +376,34 @@ class VimEngine:
         self._cedge_set = frozenset(self._cedges)
         self._cp = {e: float(g.ps[e]) for e in self._cedges}
         self._ends = {e: g.endpoints(e) for e in self._cedges}
+        self._input_tails = [encode_key(("input", e)) for e in self._cedges]
+        self._tails: dict[tuple, bytes] = {}
+        self._real_tails: dict[tuple[int, int], list[bytes]] = {}
 
     # -- randomness ---------------------------------------------------------
 
     def input_realization(self, key: tuple, rand=None) -> frozenset[int]:
         """Sample a fresh realization of the crucial graph, bit per edge."""
-        rand = rand or self.rand
-        out = set()
-        for e in self._cedges:
-            if rand.u(key + ("input", e), locus=self._ends[e]) < self._cp[e]:
-                out.add(e)
-        return frozenset(out)
+        return self._draw_edges((rand or self.rand).child(key), self._input_tails)
+
+    def _draw_edges(self, rand: KeyedPrefix, tails: list[bytes]) -> frozenset[int]:
+        """Crucial edges whose draw at ``rand`` + tail falls under p_e."""
+        cp, ends = self._cp, self._ends
+        return frozenset(e for e, tail in zip(self._cedges, tails)
+                         if rand.u(tail, ends[e]) < cp[e])
+
+    def _tail(self, key: tuple) -> bytes:
+        raw = self._tails.get(key)
+        if raw is None:
+            raw = self._tails[key] = encode_key(key)
+        return raw
+
+    def _slot_tails(self, r: int, i: int) -> list[bytes]:
+        tails = self._real_tails.get((r, i))
+        if tails is None:
+            tails = [encode_key(("real", r, i, e)) for e in self._cedges]
+            self._real_tails[(r, i)] = tails
+        return tails
 
     # -- gamma tables and saturation ----------------------------------------
 
@@ -403,7 +427,7 @@ class VimEngine:
         for s in range(samples):
             key = ("gamma", r, s)
             creal = self.input_realization(key)
-            z = self._find(r, creal, key, self.rand, None)
+            z = self._find(r, creal, self.rand.child(key), None)
             for e in z:
                 u, v = self._ends[e]
                 counts[u] += 1
@@ -434,21 +458,19 @@ class VimEngine:
         creal = frozenset(int(e) for e in crealization)
         if not creal <= self._cedge_set:
             raise ValueError("input realization contains non-crucial edges")
-        return self._find(depth, creal, key, rand or self.rand, trace)
+        return self._find(depth, creal, (rand or self.rand).child(key), trace)
 
-    def _find(self, r: int, creal: frozenset[int], key: tuple, rand, trace):
+    def _find(self, r: int, creal: frozenset[int], rand: KeyedPrefix, trace):
+        """Level-r matching of ``creal``; ``rand`` is the hash state of this
+        node's recursion path, to which every draw appends only its tail."""
         if r == 0:
             return frozenset()
         alpha = self.params.alpha
         slots = [creal]
         for i in range(1, alpha + 1):
-            drawn = set()
-            for e in self._cedges:
-                if rand.u(key + ("real", r, i, e), locus=self._ends[e]) < self._cp[e]:
-                    drawn.add(e)
-            slots.append(frozenset(drawn))
+            slots.append(self._draw_edges(rand, self._slot_tails(r, i)))
         matchings = [
-            self._find(r - 1, slots[i], key + ("rec", r, i), rand, trace)
+            self._find(r - 1, slots[i], rand.child(self._tail(("rec", r, i))), trace)
             for i in range(alpha + 1)
         ]
         profile = Profile(self.cls, slots, matchings)
@@ -463,11 +485,14 @@ class VimEngine:
         max_deg = max((len(a) for a in adj), default=0)
         budget = mis_round_budget(max_deg, self.params.epsilon, self.params.mis_round_factor)
         self.max_mis_rounds = max(self.max_mis_rounds, budget)
-        walk_keys = [w.rand_key() for w in walks]
+        walk_tails = [encode_key(w.rand_key()) for w in walks]
+        round_states: dict[int, KeyedPrefix] = {}
 
         def priority(rnd: int, node: int) -> float:
-            return rand.u(key + ("mis", r, rnd) + walk_keys[node],
-                          locus=walks[node].vertices)
+            state = round_states.get(rnd)
+            if state is None:
+                state = round_states[rnd] = rand.child(self._tail(("mis", r, rnd)))
+            return state.u(walk_tails[node], walks[node].vertices)
 
         result = luby_rounds(adj, budget, priority)
         chosen = [walks[i] for i in result.in_set]
@@ -488,6 +513,7 @@ class VimEngine:
                     selected=len(chosen),
                     candidates=len(walks),
                     mis_rounds=result.rounds,
+                    mis_undecided=len(result.undecided),
                     slot_sizes=tuple(len(m) for m in after.matchings),
                 )
             )
@@ -511,7 +537,7 @@ class VimEngine:
         ecc = max(dist.values()) if dist else 0
         key = ("dep", v) + key_tag
         base_real = self.input_realization(key)
-        base_z = self._find(depth, base_real, key, self.rand, None) if depth else frozenset()
+        base_z = self._find(depth, base_real, self.rand.child(key), None)
         base_x = any(v in self._ends[e] for e in base_z)
         for rho in range(0, ecc + 1):
             def keep(locus, _rho=rho):
@@ -519,9 +545,9 @@ class VimEngine:
 
             stable = True
             for trial in range(trials):
-                perturbed = PerturbedUniforms(self.rand, trial, keep)
+                perturbed = self.rand.perturbed(trial, keep)
                 creal = self.input_realization(key, rand=perturbed)
-                z = self._find(depth, creal, key, perturbed, None) if depth else frozenset()
+                z = self._find(depth, creal, perturbed.child(key), None)
                 self.perturbations_run += 1
                 x = any(v in self._ends[e] for e in z)
                 if x != base_x:

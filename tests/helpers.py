@@ -12,6 +12,7 @@ import numpy as np
 
 from stochmatch.graph import StochasticGraph
 from stochmatch.randomness import RandomStream
+from stochmatch.vim import _canonical_walk, is_augmenting
 
 
 def brute_force_mu(n: int, pairs) -> int:
@@ -117,3 +118,50 @@ def small_corpus(count: int = 50, seed: int = 2024, max_edges: int = 12):
 
 def stream(seed: int = 1, *key) -> RandomStream:
     return RandomStream(seed, key or ("test",))
+
+
+def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
+    """Generate-then-validate hyperwalk enumeration, the oracle for the
+    incremental search in ``stochmatch.vim``: every taut prefix ending at an
+    unsaturated vertex is canonicalised and checked with a full
+    ``is_augmenting`` rebuild."""
+    cadj = profile.cls.crucial_adjacency()
+    n_slots = profile.n_slots
+    found = {}
+
+    def consider(steps, verts):
+        walk = _canonical_walk(steps, verts)
+        key = (walk.steps, walk.vertices)
+        if key not in found and is_augmenting(profile, walk):
+            found[key] = walk
+
+    def extend(cur, steps, verts, used):
+        pos = len(steps) + 1
+        odd = pos % 2 == 1
+        for nbr, e in cadj.get(cur, ()):
+            for s in range(n_slots):
+                step = (e, s)
+                if step in used:
+                    continue
+                if odd:
+                    if e not in profile.realized[s] or e in profile.matchings[s]:
+                        continue
+                else:
+                    if e not in profile.matchings[s]:
+                        continue
+                steps.append(step)
+                verts.append(nbr)
+                used.add(step)
+                if odd and nbr not in saturated:
+                    consider(steps, verts)
+                if len(steps) < walk_cap:
+                    extend(nbr, steps, verts, used)
+                steps.pop()
+                verts.pop()
+                used.discard(step)
+
+    for v0 in sorted(cadj):
+        if v0 in saturated:
+            continue
+        extend(v0, [], [v0], set())
+    return sorted(found.values(), key=lambda w: (w.vertices[0], w.steps))

@@ -1,9 +1,20 @@
 """Keyed stream reproducibility and independence smoke tests."""
 
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from stochmatch.graph import StochasticGraph, sample_realization
-from stochmatch.randomness import RandomStream, keyed_uniform
+from stochmatch.randomness import KeyedPrefix, RandomStream, encode_key, keyed_uniform
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_PART = st.one_of(
+    st.text(max_size=6),
+    _INT64,
+    _INT64.map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+)
+_KEY = st.lists(_PART, max_size=4).map(tuple)
 
 
 def test_equal_key_equal_sequence():
@@ -87,3 +98,34 @@ def test_tiny_probability_single_draw():
     g = StochasticGraph(4, [(0, 1, 1e-6), (1, 2, 1e-6), (2, 3, 1e-6)])
     r = sample_realization(g, RandomStream(0, ("tiny", 0)))
     assert r.edge_ids() == []
+
+
+@given(seed=_INT64, a=_KEY, b=_KEY, c=_KEY)
+def test_prefix_state_equals_full_key(seed, a, b, c):
+    full = keyed_uniform(seed, a + b + c)
+    prefix = KeyedPrefix(seed, a).child(b)
+    assert prefix.u(c) == full
+    assert prefix.u(encode_key(c)) == full
+    assert KeyedPrefix(seed).child(encode_key(a + b)).u(c) == full
+
+
+def test_perturbed_prefix_resamples_outside_the_kept_region():
+    base = KeyedPrefix(7, ("vim",))
+    pert = base.perturbed(3, keep=lambda locus: 0 in locus).child(("k",))
+    kept = keyed_uniform(7, ("vim", "k", "input", 1))
+    resampled = keyed_uniform(7, ("vim", "k", "input", 1, "pert", 3))
+    assert pert.u(("input", 1), (0, 1)) == kept
+    assert pert.u(("input", 1), (1, 2)) == resampled
+    assert pert.u(("input", 1)) == resampled
+    assert kept != resampled
+
+
+def test_bool_key_parts_rejected():
+    # bool subclasses int; accepting it would make True address the draw of 1.
+    for key in (("x", True), ("x", False)):
+        with pytest.raises(TypeError, match="bool"):
+            keyed_uniform(0, key)
+    with pytest.raises(TypeError, match="bool"):
+        KeyedPrefix(0, ("x",)).u((True,))
+    with pytest.raises(TypeError, match="bool"):
+        RandomStream(0, ("x", np.bool_(True))).uniforms(1)

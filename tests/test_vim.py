@@ -1,5 +1,6 @@
 """Augmenting hyperwalks and the recursive matching construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from stochmatch.vim import (
 )
 from stochmatch.errors import ParameterOverflowError
 
-from helpers import path_graph, two_single_edges
+from helpers import path_graph, reference_augmenting_hyperwalks, two_single_edges
 
 
 def classification_for(g, eps=0.3, tau_minus=0.05, tau_plus=0.5):
@@ -132,6 +133,39 @@ def test_enumerate_finds_length_three_augmentation():
     prof = Profile(cls, [{0, 1, 2}], [{1}])
     walks = enumerate_augmenting_hyperwalks(prof, saturated=frozenset(), walk_cap=3)
     assert Hyperwalk(((0, 0), (1, 0), (2, 0)), (0, 1, 2, 3)) in walks
+
+
+def test_enumeration_matches_reference_enumerator():
+    # The incremental search must return exactly the walks, in the order, of
+    # the generate-then-validate oracle, across slot counts, saturated sets
+    # and walk caps.
+    rng = np.random.default_rng(11)
+    total = 0
+    for trial in range(60):
+        n = int(rng.integers(3, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        m = int(rng.integers(2, min(8, len(pairs)) + 1))
+        g = StochasticGraph(n, [(u, v, 0.9) for u, v in pairs[:m]])
+        cls = mechanics_cls(g)
+        realized, matchings = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            real = frozenset(e for e in range(m) if rng.random() < 0.8)
+            cover, mat = set(), set()
+            for e in sorted(real, key=lambda _: rng.random()):
+                u, v = g.endpoints(e)
+                if rng.random() < 0.6 and u not in cover and v not in cover:
+                    mat.add(e)
+                    cover.update((u, v))
+            realized.append(real)
+            matchings.append(mat)
+        prof = Profile(cls, realized, matchings)
+        sat = frozenset(v for v in range(n) if rng.random() < 0.25)
+        cap = trial % 5 + 1
+        got = enumerate_augmenting_hyperwalks(prof, sat, cap)
+        assert got == reference_augmenting_hyperwalks(prof, sat, cap)
+        total += len(got)
+    assert total > 100
 
 
 def test_conflict_graph_rules():
@@ -473,3 +507,53 @@ def test_triple_independence_across_components():
     product = float(np.prod(X.mean(axis=0)))
     se = 3 * math.sqrt(max(joint * (1 - joint), product) / runs) + 3e-3
     assert abs(joint - product) <= se, (joint, product)
+
+
+def _sha_lines(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_outputs_pinned_against_randomness_format_drift():
+    # Pinned outputs of the current randomness format: any change to key
+    # encoding or draw addressing moves them.
+    g = StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    cls = classify(g, exact_stats(g).q, 0.1, 0.2, epsilon=0.3)
+    params = VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300)
+    engine = VimEngine(cls, params, seed=13)
+    outputs = []
+    for s in range(50):
+        key = ("bench", 13, s)
+        outputs.append(sorted(engine.run(2, engine.input_realization(key), key=key)))
+    assert _sha_lines(outputs) == (
+        "d8af72c9f6d55653285190080131814cdb268d8ce3ae3d6873a8fb969e652313"
+    )
+
+    g = path_graph(3, 0.6)
+    cls = all_crucial(g)
+    engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=2, depth=2, gamma_samples=40),
+                       seed=4)
+    assert [engine.dependency_radius(v, 2, trials=10) for v in range(4)] == [1, 1, 1, 1]
+    assert engine.perturbations_run == 56
+
+
+def test_trace_records_undecided_mis_nodes():
+    # One Luby round cannot settle every conflict, so some walks stay
+    # undecided; the trace must say how many, and never more than were left.
+    g = path_graph(4, 0.9)
+    cls = all_crucial(g)
+    params = VimParams(epsilon=0.3, alpha=4, depth=1, gamma_samples=10,
+                       mis_round_factor=0.01)
+    engine = VimEngine(cls, params, seed=3)
+    undecided = 0
+    for s in range(30):
+        trace = []
+        engine.run(1, engine.input_realization(("und", s)), key=("und", s), trace=trace)
+        for entry in trace:
+            assert entry.mis_rounds <= 1
+            assert entry.selected + entry.mis_undecided <= entry.candidates
+            undecided += entry.mis_undecided
+    assert undecided > 0
