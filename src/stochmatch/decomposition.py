@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterOverflowError
-from .graph import StochasticGraph
+from .graph import Realization, StochasticGraph
 from .matching import max_matching
 from .randomness import as_stream
 
@@ -121,7 +121,7 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
                     counts[e] += c
         else:
             for row in present:
-                matched = max_matching(g, [int(e) for e in np.flatnonzero(row)]).edges
+                matched = max_matching(g, Realization(g, row)).edges
                 k = len(matched)
                 sum_mu += k
                 sum_mu_sq += k * k

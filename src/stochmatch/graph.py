@@ -20,7 +20,7 @@ __all__ = ["StochasticGraph", "Realization", "Matching", "sample_realization"]
 class StochasticGraph:
     """Simple undirected graph where edge ``e`` realizes with probability ``p_e``."""
 
-    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_incident")
+    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_incident")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -48,6 +48,7 @@ class StochasticGraph:
         self.ps = np.array([e[2] for e in norm], dtype=np.float64)
         self.p_min = float(self.ps.min()) if norm else 1.0
         self._adj = None
+        self._half_edges = None
         self._incident = None
 
     def endpoints(self, e: int) -> tuple[int, int]:
@@ -67,6 +68,14 @@ class StochasticGraph:
             self._adj = adj
         return self._adj
 
+    @property
+    def half_edges(self) -> list[tuple[int, int, int]]:
+        """``adjacency`` flattened to (vertex, neighbor, edge id), ascending by
+        (vertex, neighbor): both orientations of every edge."""
+        if self._half_edges is None:
+            self._half_edges = [(v, u, e) for v, row in enumerate(self.adjacency) for u, e in row]
+        return self._half_edges
+
     def incident(self, v: int) -> list[int]:
         """Edge ids incident to vertex v."""
         if self._incident is None:
@@ -78,12 +87,10 @@ class StochasticGraph:
         return self._incident[v]
 
     def degrees(self, edge_ids=None) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        ids = range(self.m) if edge_ids is None else edge_ids
-        for e in ids:
-            deg[self.us[e]] += 1
-            deg[self.vs[e]] += 1
-        return deg
+        """Per-vertex count of the given edges (all edges when None)."""
+        ids = slice(None) if edge_ids is None else np.asarray(edge_ids, dtype=np.int64)
+        return (np.bincount(self.us[ids], minlength=self.n)
+                + np.bincount(self.vs[ids], minlength=self.n))
 
     @classmethod
     def from_text(cls, text: str) -> "StochasticGraph":

@@ -29,7 +29,7 @@ from .certificate import (
 from .decomposition import classify, estimate_q, threshold_schedule
 from .errors import StochmatchError
 from .generators import generate
-from .graph import StochasticGraph, sample_realization
+from .graph import Realization, StochasticGraph, sample_realization
 from .matching import mu
 from .oracle import exact_stats
 from .randomness import RandomStream
@@ -274,7 +274,7 @@ def run_certificate_batch(
         f = compute_f(q, classification, eps)
         x = build_x(q, z, realization, classification, f, x_probs, prob_floor=prob_floor)
         y = build_y(x, eps)
-        mu_q = mu(g, [e for e in realization.edge_ids() if q.member[e]])
+        mu_q = mu(g, Realization(g, realization.present & q.member))
         blossom = check_blossom(y, max_size=blossom_max)
         x_crucial = float(sum(x.values[e] for e in crucial))
         records.append(

@@ -7,10 +7,11 @@ implementation so they can serve as independent ground truth.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from stochmatch.graph import StochasticGraph
+from stochmatch.graph import Matching, Realization, StochasticGraph
 from stochmatch.randomness import RandomStream
 from stochmatch.vim import _canonical_walk, is_augmenting
 
@@ -165,3 +166,118 @@ def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
             continue
         extend(v0, [], [v0], set())
     return sorted(found.values(), key=lambda w: (w.vertices[0], w.steps))
+
+
+def reference_max_matching(g: StochasticGraph, edge_set=None) -> Matching:
+    """Dict-based Edmonds blossom, the oracle for ``stochmatch.matching``.
+
+    Edge ids are sorted, adjacency is rebuilt as dicts in ascending neighbor
+    order, and every search root and lowest-common-ancestor search allocates
+    fresh vertex maps; a contraction scans all vertices in ascending id order.
+    The vertex-indexed engine must return exactly the same matching.
+    """
+    if edge_set is None:
+        ids = list(range(g.m))
+    elif isinstance(edge_set, Realization):
+        ids = edge_set.edge_ids()
+    else:
+        ids = sorted(int(e) for e in edge_set)
+    adj = {}
+    eid = {}
+    for e in ids:
+        u, v = g.endpoints(e)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+        eid[(u, v)] = e
+        eid[(v, u)] = e
+    verts = sorted(adj)
+    for v in verts:
+        adj[v].sort()
+    match = _reference_blossom(verts, adj)
+    out = []
+    for v in verts:
+        u = match.get(v, -1)
+        if u >= 0 and v < u:
+            out.append(eid[(v, u)])
+    return Matching(g, out)
+
+
+def _reference_blossom(verts, adj):
+    match = {v: -1 for v in verts}
+    for v in verts:
+        if match[v] < 0:
+            for u in adj[v]:
+                if match[u] < 0:
+                    match[v] = u
+                    match[u] = v
+                    break
+    for root in verts:
+        if match[root] < 0:
+            _reference_augment_from(root, verts, adj, match)
+    return match
+
+
+def _reference_augment_from(root, verts, adj, match):
+    parent = {v: -1 for v in verts}
+    base = {v: v for v in verts}
+    in_queue = {v: False for v in verts}
+    in_blossom = {v: False for v in verts}
+
+    in_queue[root] = True
+    queue = deque([root])
+
+    def find_lca(a, b):
+        on_path = {v: False for v in verts}
+        x = a
+        while True:
+            x = base[x]
+            on_path[x] = True
+            if match[x] < 0:
+                break
+            x = parent[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if on_path[y]:
+                return y
+            y = parent[match[y]]
+
+    def mark_path(v, b, child):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
+                cur_base = find_lca(v, to)
+                for x in verts:
+                    in_blossom[x] = False
+                mark_path(v, cur_base, to)
+                mark_path(to, cur_base, v)
+                for x in verts:
+                    if in_blossom[base[x]]:
+                        base[x] = cur_base
+                        if not in_queue[x]:
+                            in_queue[x] = True
+                            queue.append(x)
+            elif parent[to] < 0:
+                parent[to] = v
+                if match[to] < 0:
+                    v = to
+                    while v >= 0:
+                        pv = parent[v]
+                        next_v = match[pv]
+                        match[v] = pv
+                        match[pv] = v
+                        v = next_v
+                    return True
+                in_queue[match[to]] = True
+                queue.append(match[to])
+    return False

@@ -72,3 +72,20 @@ def test_matching_validation():
         Matching(g, [0, 1])
     m = Matching(g, [1])
     assert m.covers(1) and m.covers(2) and not m.covers(0)
+
+
+def test_degrees_count_each_listed_edge():
+    g = StochasticGraph(5, [(0, 1, 0.5), (1, 2, 0.5), (1, 3, 0.5), (3, 4, 0.5)])
+    for ids in (None, [], [2], (0, 3), [1, 1, 2], range(g.m)):
+        expected = [0] * g.n
+        for e in range(g.m) if ids is None else ids:
+            u, v = g.endpoints(e)
+            expected[u] += 1
+            expected[v] += 1
+        assert g.degrees(ids).tolist() == expected
+    assert StochasticGraph(3, []).degrees().tolist() == [0, 0, 0]
+
+
+def test_half_edges_flatten_adjacency():
+    g = StochasticGraph(4, [(2, 0, 0.5), (0, 1, 0.5), (3, 1, 0.5)])
+    assert g.half_edges == [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 3, 2), (2, 0, 0), (3, 1, 2)]

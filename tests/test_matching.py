@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmatch.graph import StochasticGraph
+from stochmatch.generators import erdos_renyi
+from stochmatch.graph import Realization, StochasticGraph, sample_realization
 from stochmatch.matching import max_matching, mu
+from stochmatch.randomness import RandomStream
 
 from helpers import (
     all_matchings_max_size,
@@ -16,6 +18,7 @@ from helpers import (
     path_graph,
     petersen,
     random_small_graph,
+    reference_max_matching,
     small_corpus,
 )
 
@@ -151,3 +154,83 @@ def test_blossom_agrees_with_networkx_at_scale():
         G.add_nodes_from(range(n))
         G.add_edges_from([(u, v) for u, v, _ in edges])
         assert mu(g) == len(nx.max_weight_matching(G, maxcardinality=True))
+
+
+# -- differential test against the dict-based reference engine ----------------
+
+
+def _assert_same_as_reference(g, present, rng):
+    """The three input forms of one edge set all give the reference matching."""
+    ids = [int(e) for e in np.flatnonzero(present)]
+    expected = reference_max_matching(g, ids).edges
+    shuffled = list(rng.permutation(ids)) if ids else []
+    assert max_matching(g, shuffled).edges == expected
+    assert max_matching(g, Realization(g, present)).edges == expected
+    if present.all():
+        assert max_matching(g).edges == expected
+
+
+def _check_graph(g, seed, subsets=8):
+    rng = np.random.default_rng(seed)
+    _assert_same_as_reference(g, np.ones(g.m, dtype=bool), rng)
+    for _ in range(subsets):
+        _assert_same_as_reference(g, rng.random(g.m) < rng.uniform(0.3, 0.9), rng)
+
+
+def _odd_cycle_with_chords(k, rng):
+    edges = {tuple(sorted((i, (i + 1) % k))) for i in range(k)}
+    for _ in range(k // 2):
+        edges.add(tuple(sorted(int(x) for x in rng.choice(k, size=2, replace=False))))
+    return StochasticGraph(k, [(u, v, 1.0) for u, v in sorted(edges)])
+
+
+def test_reference_agreement_on_fixed_families():
+    _check_graph(petersen(), 0, subsets=30)
+    for n in range(2, 11):
+        _check_graph(clique_graph(n), n)
+    rng = np.random.default_rng(99)
+    for k in (3, 5, 7, 9, 11, 13, 15, 21):
+        for _ in range(4):
+            _check_graph(_odd_cycle_with_chords(k, rng), k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.floats(min_value=0.05, max_value=0.6),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_reference_agreement_on_random_er(n, density, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v, 0.5) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = StochasticGraph(n, edges)
+    _check_graph(g, seed, subsets=3)
+
+
+def test_reference_agreement_on_workload_realizations():
+    g = erdos_renyi(300, 0.03, (0.2, 0.8), seed=7)
+    stream = RandomStream(7, ("reference-diff",))
+    rng = np.random.default_rng(7)
+    for i in range(20):
+        _assert_same_as_reference(g, sample_realization(g, stream.child(i)).present, rng)
+
+
+# -- edge-set validation --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 10**6])
+def test_out_of_range_edge_id_rejected(bad):
+    g = path2()
+    with pytest.raises(ValueError, match=f"edge id {bad} "):
+        max_matching(g, [0, bad])
+    with pytest.raises(ValueError, match=f"edge id {bad} "):
+        mu(g, [bad])
+
+
+def test_realization_of_another_graph_rejected():
+    g = path2()
+    twin = path2()
+    real = Realization(twin, [True, True])
+    with pytest.raises(ValueError, match="different graph"):
+        max_matching(g, real)
+    assert max_matching(twin, real).edges == frozenset({0})

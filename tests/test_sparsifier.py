@@ -17,6 +17,14 @@ from stochmatch.sparsifier import (
 from helpers import clique_graph, path_graph, small_corpus
 
 
+def test_t_sum_above_R_at_a_vertex_rejected():
+    g = path_graph(2, 0.5)  # both edges meet at vertex 1
+    with pytest.raises(AssertionError, match="t-sum exceeds R at some vertex"):
+        SubgraphQ(g, 1, [1, 1], build_purpose="test")
+    assert SubgraphQ(g, 2, [1, 1], build_purpose="test").member.all()
+    assert SubgraphQ(g, 1, [1, 0], build_purpose="test").member.tolist() == [True, False]
+
+
 def test_single_matching():
     g = clique_graph(6, 0.7)
     q = build_q(g, R=1, seed=0)
