@@ -36,6 +36,12 @@ __all__ = [
     "test_f_properties",
 ]
 
+# build_x refuses vertices whose estimated unmatched probability is at most
+# this, since it divides by that probability.
+_PROB_FLOOR = 1e-6
+# check_blossom raises past this many connected subsets instead of grinding.
+_SUBSET_CAP = 500_000
+
 
 @dataclass
 class FValues:
@@ -106,8 +112,6 @@ def build_x(
     classification: EdgeClassification,
     f: FValues,
     x_probs,
-    *,
-    prob_floor: float = 1e-6,
 ) -> FractionalAssignment:
     """Assemble the expected fractional matching for one run.
 
@@ -129,11 +133,11 @@ def build_x(
     for e in far:
         u, v = g.endpoints(e)
         needed.update((u, v))
-    bad = [v for v in sorted(needed) if 1.0 - x_probs[v] <= prob_floor]
+    bad = [v for v in sorted(needed) if 1.0 - x_probs[v] <= _PROB_FLOOR]
     if bad:
         raise DivisionGuardError(
             f"matched-probability estimates at vertices {bad} leave no usable "
-            f"(1 - Pr) mass above the floor {prob_floor}"
+            f"(1 - Pr) mass above the floor {_PROB_FLOOR}"
         )
 
     for e in classification.crucial_edges:
@@ -205,7 +209,7 @@ def _connected_subsets(adj: dict[int, set[int]], nodes, max_size: int, cap: int)
 
 
 def check_blossom(assignment: FractionalAssignment, max_size: int,
-                  *, subset_cap: int = 500_000, tol: float = 1e-9) -> BlossomReport:
+                  *, tol: float = 1e-9) -> BlossomReport:
     """Verify value(U) <= floor(|U| / 2) for connected support subsets.
 
     A disconnected violating set would contain a violating connected part, so
@@ -226,7 +230,7 @@ def check_blossom(assignment: FractionalAssignment, max_size: int,
     report = BlossomReport(max_size=max_size, subsets_checked=0)
     if not adj:
         return report
-    for subset in _connected_subsets(adj, adj.keys(), max_size, subset_cap):
+    for subset in _connected_subsets(adj, adj.keys(), max_size, _SUBSET_CAP):
         report.subsets_checked += 1
         if len(subset) < 2:
             continue
@@ -312,7 +316,6 @@ class FPropertyReport:
 
     per_edge: list  # (edge, mean_f, lower, upper, ok)
     vertex_sum_ok: bool
-    tail_entries: list  # (vertex, empirical, bound, informational)
 
     @property
     def edges_ok(self) -> bool:
@@ -331,8 +334,7 @@ def test_f_properties(
 
     Per-edge: mean f within [(1 - eps) q - 3 sigma, q + 3 sigma].  Per run and
     vertex: the integer multiplicities already sum to at most R, so the f sum
-    stays at or below 1 exactly.  The tail bound on f_v is reported and only
-    informational when it exceeds 1, which it does at desk scale.
+    stays at or below 1 exactly.
     """
     if not batch:
         raise ValueError("need at least one sparsifier build")
@@ -359,16 +361,4 @@ def test_f_properties(
             per_vertex[v] += qq.t[e]
         if per_vertex.size and per_vertex.max() > qq.R:
             vertex_sum_ok = False
-
-    p_min = g.p_min
-    bound = (epsilon * p_min) ** 10
-    f_v_per_run = [fv.f_v(g) for fv in fvals]
-    tail_entries = []
-    for v in range(g.n):
-        exceed = sum(
-            1 for f_v in f_v_per_run if f_v[v] > classification.n_v[v] + 0.1 * epsilon
-        )
-        empirical = exceed / n_runs
-        tail_entries.append((v, empirical, bound, bound >= 1.0))
-    return FPropertyReport(per_edge=per_edge, vertex_sum_ok=vertex_sum_ok,
-                           tail_entries=tail_entries)
+    return FPropertyReport(per_edge=per_edge, vertex_sum_ok=vertex_sum_ok)

@@ -1,29 +1,36 @@
 """Batch command-line interface.
 
 Subcommands mirror the pipeline stages: gen, oracle, decompose, sparsify,
-contract, vim, certify, experiment.  Output is JSON by default (csv flattens
-to key,value rows).  The experiment subcommand exits nonzero when any
-non-informational check fails.
+contract, vim, certify, experiment.  The vim and certify subcommands print
+the reports of the harness's independence test and certificate batch.
+Output is JSON by default; csv writes one row per leaf of the payload, the
+dotted key path and the JSON-encoded value.  The experiment subcommand exits
+nonzero when any non-informational check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
-import numpy as np
-
+from .certificate import certificate_size_report
 from .decomposition import classify, estimate_q, threshold_schedule
 from .errors import StochmatchError
 from .generators import generate
 from .graph import StochasticGraph
-from .harness import ExperimentConfig, run_certificate_batch, run_pipeline
-from .certificate import certificate_size_report
+from .harness import (
+    ExperimentConfig,
+    independence_test,
+    jsonify,
+    run_certificate_batch,
+    run_f_property_batch,
+    run_pipeline,
+)
 from .oracle import exact_stats
-from .randomness import RandomStream
 from .reduction import contract
-from .sparsifier import build_baseline_iterative, build_q
+from .sparsifier import build_baseline_iterative, build_q, default_R
 from .vim import VimEngine, VimParams
 
 __all__ = ["main"]
@@ -40,33 +47,27 @@ def _load_graph(args) -> StochasticGraph:
 
 def _emit(args, payload):
     if args.out == "csv":
-        lines = []
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         for key, value in sorted(_flatten(payload).items()):
-            lines.append(f"{key},{json.dumps(value)}")
-        text = "\n".join(lines) + "\n"
+            writer.writerow([key, json.dumps(value, default=jsonify)])
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_np_json) + "\n"
-    sys.stdout.write(text)
-
-
-def _np_json(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, default=jsonify) + "\n")
 
 
 def _flatten(payload, prefix=""):
+    """Nested dicts as {dotted key path: leaf}; lists are leaves."""
+    if not isinstance(payload, dict):
+        return {prefix: payload}
     out = {}
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            out.update(_flatten(v, f"{prefix}{k}." if prefix else f"{k}."))
-        return {k.rstrip("."): v for k, v in out.items()} if not prefix else out
-    key = prefix.rstrip(".")
-    if isinstance(payload, (list, tuple)):
-        return {key: json.dumps(payload, default=_np_json)}
-    return {key: payload}
+    for k, v in payload.items():
+        out.update(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
+    return out
+
+
+def _add_schedule(parser):
+    parser.add_argument("--t0", type=float, default=None)
+    parser.add_argument("--gamma", type=float, default=0.3)
+    parser.add_argument("--paper-schedule", action="store_true")
 
 
 def _add_common(parser):
@@ -159,63 +160,32 @@ def _vim_params(args) -> VimParams:
 
 
 def _cmd_vim(args):
-    from .stats import covariance_se
-
     g = _load_graph(args)
-    est, schedule, cls = _decompose(args, g)
+    _est, _schedule, cls = _decompose(args, g)
     params = _vim_params(args)
+    report = independence_test(g, cls, params, args.runs, args.seed)
+    # E|Z_r| is half the summed per-vertex matched frequency at level r.
     engine = VimEngine(cls, params, args.seed)
-    runs = args.runs
-    sizes_by_depth = {r: [] for r in range(params.depth + 1)}
-    matched = np.zeros((runs, g.n), dtype=bool)
-    z_edges_last = []
-    for s in range(runs):
-        creal = engine.input_realization(("cli", s))
-        for depth in range(params.depth + 1):
-            z = engine.run(depth, creal, key=("cli", s, depth))
-            sizes_by_depth[depth].append(len(z))
-            if depth == params.depth:
-                z_edges_last = sorted(z)
-                for e in z:
-                    u, v = g.endpoints(e)
-                    matched[s, u] = True
-                    matched[s, v] = True
-    active = [v for v in range(g.n) if cls.c_v[v] > 0]
-    independence_pairs = []
-    for i, u in enumerate(active):
-        for v in active[i + 1:]:
-            d = cls.d_C(u, v)
-            if d >= cls.lam and runs >= 2:
-                cov, se = covariance_se(matched[:, u], matched[:, v])
-                independence_pairs.append(
-                    {"u": u, "v": v, "cov": cov, "se": se,
-                     "distance": None if d == float("inf") else d}
-                )
     _emit(args, {
-        "Z_edges": z_edges_last,
-        "per_vertex_match_freq": matched.mean(axis=0).tolist(),
-        "size_by_depth": {str(d): float(np.mean(v)) for d, v in sizes_by_depth.items()},
-        "independence_pairs": independence_pairs,
-        "lambda": cls.lam,
+        "per_vertex_match_freq": report.match_freq,
+        "size_by_depth": {str(r): float(engine.gamma_table(r).sum() / 2)
+                          for r in range(params.depth + 1)},
+        "far_pairs": report.far_pairs,
+        "controls": report.controls,
+        "notice": report.notice,
+        "lambda": report.lam,
     })
     return 0
 
 
 def _cmd_certify(args):
-    from .certificate import test_f_properties
-    from .sparsifier import default_R
-
     g = _load_graph(args)
     est, schedule, cls = _decompose(args, g)
-    if args.R is None:
-        args.R = default_R(schedule.tau_minus, cap=4096)
-    params = _vim_params(args)
-    engine = VimEngine(cls, params, args.seed)
-    records = run_certificate_batch(g, cls, engine, args.R, args.runs, args.seed)
+    R = default_R(schedule.tau_minus, cap=4096) if args.R is None else args.R
+    engine = VimEngine(cls, _vim_params(args), args.seed)
+    records = run_certificate_batch(g, cls, engine, R, args.runs, args.seed)
     rep = certificate_size_report(records, args.epsilon, p_min=g.p_min)
-    fbatch = [build_q(g, args.R, RandomStream(args.seed, ("fprop",)).child(s))
-              for s in range(args.runs)]
-    freport = test_f_properties(g, cls, args.epsilon, fbatch, q_se=est.se_q)
+    freport = run_f_property_batch(g, cls, R, args.runs, args.seed, q_se=est.se_q)
     _emit(args, {
         "mean_x": rep.mean_x,
         "mean_y": rep.mean_y,
@@ -276,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="estimate q, pick thresholds, classify")
     _add_common(p)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--paper-schedule", action="store_true")
+    _add_schedule(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("sparsify", help="build the sampled-union sparsifier")
@@ -295,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("vim", _cmd_vim), ("certify", _cmd_certify)):
         p = sub.add_parser(name)
         _add_common(p)
-        p.add_argument("--t0", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=0.3)
-        p.add_argument("--paper-schedule", action="store_true")
+        _add_schedule(p)
         p.add_argument("--alpha", type=int, default=7)
         p.add_argument("--depth", type=int, default=3)
         p.add_argument("--walk-cap", dest="walk_cap", type=int, default=3)

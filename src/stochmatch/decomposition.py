@@ -12,7 +12,7 @@ kept behind a guard that raises instead of silently producing zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 
 _SAMPLE_BLOCK = 8192
 _MASK_LIMIT = 62  # bitmask memoization needs edge count to fit an int64
+_LAMBDA_CAP = 10**6  # largest paper-scale lambda classify accepts
 
 CRUCIAL = "crucial"
 NONCRUCIAL = "noncrucial"
@@ -141,7 +142,7 @@ class ScheduleResult:
     bucket_masses: tuple[float, ...]
 
 
-def _level_iter(epsilon, p_min, f_shape, t0, gamma, power, levels):
+def _level_iter(epsilon, p_min, f_shape, t0, gamma, levels):
     """Yield the strictly decreasing schedule t_0, t_1, ... forever."""
     if levels is not None:
         levels = [float(x) for x in levels]
@@ -163,14 +164,6 @@ def _level_iter(epsilon, p_min, f_shape, t0, gamma, power, levels):
         while True:
             yield t
             t *= g
-    elif f_shape == "power":
-        t = 0.5 if t0 is None else float(t0)
-        k = float(power)
-        if k < 2.0 or not (0.0 < t < 1.0):
-            raise ValueError("power schedule needs t0 in (0,1) and exponent >= 2")
-        while True:
-            yield t
-            t = t**k
     elif f_shape == "paper":
         if p_min is None:
             raise ValueError("paper schedule needs p_min")
@@ -198,7 +191,6 @@ def threshold_schedule(
     f_shape: str = "geometric",
     t0: float | None = None,
     gamma: float = 0.3,
-    power: float = 2.0,
     levels=None,
 ) -> ScheduleResult:
     """Pick (tau_minus, tau_plus) = (t_j, t_{j-1}) at the first light bucket.
@@ -211,7 +203,7 @@ def threshold_schedule(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     q = np.asarray(q, dtype=float)
     bound = math.ceil(1.0 / epsilon) + 1
-    it = _level_iter(epsilon, p_min, f_shape, t0, gamma, power, levels)
+    it = _level_iter(epsilon, p_min, f_shape, t0, gamma, levels)
     seen = [next(it)]
     masses = []
     target = epsilon * opt
@@ -315,7 +307,6 @@ def classify(
     *,
     c_lambda: float = 2.0,
     lambda_mode: str = "desk",
-    lambda_cap: float = 10**6,
 ) -> EdgeClassification:
     """Label edges crucial (q >= tau_plus) / non-crucial (q <= tau_minus) / ignored.
 
@@ -348,10 +339,10 @@ def classify(
         lam = c_lambda * math.log2(delta_c + 2)
     elif lambda_mode == "paper":
         lam = epsilon**-20 * math.log2(max(delta_c, 2))
-        if lam > lambda_cap:
+        if lam > _LAMBDA_CAP:
             raise ParameterOverflowError(
                 f"paper-scale lambda = eps^-20 * log2(delta_C) = {lam:.3e} exceeds the "
-                f"cap {lambda_cap:.3e}; use desk mode or raise the cap"
+                f"cap {_LAMBDA_CAP:.3e}; use desk mode"
             )
     else:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")

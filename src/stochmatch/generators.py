@@ -24,7 +24,7 @@ def _edge_prob(p, stream: RandomStream, index: int) -> float:
         lo, hi = float(p[0]), float(p[1])
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"probability range must satisfy 0 < lo <= hi <= 1, got {p}")
-        return lo + (hi - lo) * stream.uniform_at("p", index)
+        return lo + (hi - lo) * stream.uniform_at(("p", index))
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise ValueError(f"probability must be in (0, 1], got {p}")
@@ -42,7 +42,7 @@ def erdos_renyi(n: int, edge_density: float, p, seed) -> StochasticGraph:
     idx = 0
     for u in range(n):
         for v in range(u + 1, n):
-            if stream.uniform_at("pair", u, v) < edge_density:
+            if stream.uniform_at(("pair", u, v)) < edge_density:
                 edges.append((u, v, _edge_prob(p, stream, idx)))
             idx += 1
     return StochasticGraph(n, edges)
@@ -79,7 +79,7 @@ def bipartite_random(n1: int, n2: int, density: float, p, seed) -> StochasticGra
     idx = 0
     for u in range(n1):
         for v in range(n2):
-            if stream.uniform_at("pair", u, v) < density:
+            if stream.uniform_at(("pair", u, v)) < density:
                 edges.append((u, n1 + v, _edge_prob(p, stream, idx)))
             idx += 1
     return StochasticGraph(n1 + n2, edges)

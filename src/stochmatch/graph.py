@@ -174,8 +174,8 @@ class Realization:
 def sample_realization(g: StochasticGraph, stream: RandomStream) -> Realization:
     """Sample each edge independently with its probability p_e.
 
-    Deterministic given (g, stream.master_seed, stream.key); callers key the
-    stream with a realization index so independent samples are addressable.
+    Deterministic given g and the stream's address; callers key the stream
+    with a realization index so independent samples are addressable.
     """
     u = stream.uniforms(g.m)
     return Realization(g, u < g.ps)
@@ -213,6 +213,3 @@ class Matching:
 
     def partner(self, v: int) -> int | None:
         return self.matched_vertex.get(v)
-
-    def vertices(self) -> set[int]:
-        return set(self.matched_vertex)

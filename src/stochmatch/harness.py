@@ -19,6 +19,7 @@ import numpy as np
 
 from .certificate import (
     CertificateRun,
+    FPropertyReport,
     build_x,
     build_y,
     certificate_size_report,
@@ -45,6 +46,7 @@ __all__ = [
     "IndependenceReport",
     "independence_test",
     "run_certificate_batch",
+    "run_f_property_batch",
     "ExperimentConfig",
     "ExperimentReport",
     "run_pipeline",
@@ -165,10 +167,15 @@ def concentration_test(g: StochasticGraph, t_fractions, samples: int, seed: int)
 # -- independence --------------------------------------------------------------
 
 
+# independence_test checks at most this many far pairs and control edges.
+_MAX_PAIRS = 200
+
+
 @dataclass
 class IndependenceReport:
     samples: int
     lam: float
+    match_freq: list  # per vertex: fraction of samples in which it is matched
     far_pairs: list  # dicts: u, v, distance, cov, se, status
     controls: list  # dicts: u, v, cov, se, status
     notice: str | None = None
@@ -188,9 +195,6 @@ def independence_test(
     params: VimParams,
     samples: int,
     seed: int,
-    *,
-    min_distance: float | None = None,
-    max_pairs: int = 200,
 ) -> IndependenceReport:
     """Covariance of matched indicators for far vertex pairs, plus controls.
 
@@ -199,7 +203,7 @@ def independence_test(
     the positively correlated negative control.
     """
     engine = VimEngine(classification, params, seed)
-    lam = classification.lam if min_distance is None else float(min_distance)
+    lam = classification.lam
     n = g.n
     X = np.zeros((samples, n), dtype=bool)
     for s in range(samples):
@@ -217,9 +221,9 @@ def independence_test(
             d = classification.d_C(u, v)
             if d >= lam:
                 far_pairs.append((u, v, d))
-            if len(far_pairs) >= max_pairs:
+            if len(far_pairs) >= _MAX_PAIRS:
                 break
-        if len(far_pairs) >= max_pairs:
+        if len(far_pairs) >= _MAX_PAIRS:
             break
 
     far_results = []
@@ -231,15 +235,15 @@ def independence_test(
                             "cov": cov, "se": se, "status": status})
 
     controls = []
-    for e in classification.crucial_edges[:max_pairs]:
+    for e in classification.crucial_edges[:_MAX_PAIRS]:
         u, v = g.endpoints(e)
         cov, se = covariance_se(X[:, u], X[:, v])
         status = "control_ok" if cov > 3.0 * se else "control_weak"
         controls.append({"u": u, "v": v, "cov": cov, "se": se, "status": status})
 
     notice = None if far_pairs else "no qualifying far pairs at this lambda"
-    return IndependenceReport(samples=samples, lam=lam, far_pairs=far_results,
-                              controls=controls, notice=notice)
+    return IndependenceReport(samples=samples, lam=lam, match_freq=X.mean(axis=0).tolist(),
+                              far_pairs=far_results, controls=controls, notice=notice)
 
 
 # -- certificate batch ---------------------------------------------------------
@@ -252,17 +256,17 @@ def run_certificate_batch(
     R: int,
     runs: int,
     seed: int,
-    *,
-    blossom_max: int | None = None,
-    prob_floor: float = 1e-6,
 ) -> list[CertificateRun]:
-    """Full per-run certificate pipeline: Q, realization, Z, f, x, y, checks."""
+    """Full per-run certificate pipeline: Q, realization, Z, f, x, y, checks.
+
+    Blossom inequalities are checked on connected sets of up to
+    min(ceil(1/eps), 9) vertices, the enumeration guard of ``check_blossom``.
+    """
     eps = classification.epsilon
     depth = engine.params.depth
     x_probs = engine.gamma_table(depth)
     crucial = frozenset(classification.crucial_edges)
-    if blossom_max is None:
-        blossom_max = min(math.ceil(1.0 / eps), 9)
+    blossom_max = min(math.ceil(1.0 / eps), 9)
     build_stream = RandomStream(seed, ("cert-build",))
     eval_stream = RandomStream(seed, ("cert-eval",))
     records = []
@@ -272,7 +276,7 @@ def run_certificate_batch(
         creal = frozenset(e for e in realization.edge_ids() if e in crucial)
         z = engine.run(depth, creal, key=("cert", s))
         f = compute_f(q, classification, eps)
-        x = build_x(q, z, realization, classification, f, x_probs, prob_floor=prob_floor)
+        x = build_x(q, z, realization, classification, f, x_probs)
         y = build_y(x, eps)
         mu_q = mu(g, Realization(g, realization.present & q.member))
         blossom = check_blossom(y, max_size=blossom_max)
@@ -292,6 +296,14 @@ def run_certificate_batch(
             )
         )
     return records
+
+
+def run_f_property_batch(g: StochasticGraph, classification, R: int, runs: int,
+                         seed: int, *, q_se=None) -> FPropertyReport:
+    """``test_f_properties`` over ``runs`` sparsifier builds keyed ("fprop", s)."""
+    stream = RandomStream(seed, ("fprop",))
+    batch = [build_q(g, R, stream.child(s)) for s in range(runs)]
+    return test_f_properties(g, classification, classification.epsilon, batch, q_se=q_se)
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -395,14 +407,15 @@ class ExperimentReport:
         data = self.to_dict()
         if not include_timings:
             data = {k: v for k, v in data.items() if k != "timings"}
-        return json.dumps(data, sort_keys=True, indent=2, default=_jsonify)
+        return json.dumps(data, sort_keys=True, indent=2, default=jsonify)
 
     def fingerprint(self) -> str:
         """Digest of everything except wall-clock timings."""
         return hashlib.sha256(self.to_json(include_timings=False).encode()).hexdigest()
 
 
-def _jsonify(obj):
+def jsonify(obj):
+    """``json.dumps`` default for numpy scalars and arrays."""
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -625,9 +638,8 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     ]
     add_check("x_v_expectation", "pass" if not x_v_over else "fail", vertices_over=x_v_over)
 
-    fbatch = [build_q(g, R, RandomStream(config.seed, ("fprop",)).child(s))
-              for s in range(min(config.cert_runs, 40))]
-    freport = test_f_properties(g, classification, config.epsilon, fbatch)
+    freport = run_f_property_batch(g, classification, R, min(config.cert_runs, 40),
+                                   config.seed)
     add_check("f_vertex_sums", "pass" if freport.vertex_sum_ok else "fail")
     add_check(
         "f_edge_bounds",

@@ -67,20 +67,17 @@ def luby_rounds(adjacency, rounds: int, priority) -> MisResult:
     )
 
 
-def apx_mis(adjacency, epsilon: float, seed, *, rounds: int | None = None,
-            factor: float = 2.0) -> MisResult:
+def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
     """Independent set of expected size close to a maximal one.
 
     Node priorities are independent keyed uniforms per (round, node), so the
     outcome distribution is symmetric under any relabeling of the nodes.
     """
-    n = len(adjacency)
-    if rounds is None:
-        max_deg = max((len(a) for a in adjacency), default=0)
-        rounds = mis_round_budget(max_deg, epsilon, factor)
+    max_deg = max((len(a) for a in adjacency), default=0)
     stream = as_stream(seed, "mis")
     result = luby_rounds(
-        adjacency, rounds, lambda r, v: stream.uniform_at("round", r, "node", v)
+        adjacency, mis_round_budget(max_deg, epsilon),
+        lambda r, v: stream.uniform_at(("round", r, "node", v)),
     )
     _assert_independent(adjacency, result.in_set)
     return result

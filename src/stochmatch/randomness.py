@@ -9,14 +9,15 @@ function of (inputs, master seed) and lets experiments resample a selected
 subset of the randomness (for example, everything outside a ball around one
 vertex) by re-keying just that subset.
 
-Bulk draws go through a Philox counter-based generator keyed by a 128-bit
-digest of the address.  Single addressable values come straight from the
-digest, skipping generator construction.
+The one source of draws is ``RandomStream``, which holds the hash state of
+its address.  Bulk draws go through a Philox counter-based generator keyed
+by the address's 128-bit digest.  Single addressable values come straight
+from the digest, skipping generator construction.
 
 The digest is a streaming blake2b over the encoded parts, so hashing a key's
 prefix once and appending each tail gives the same bytes as hashing every
-full key.  ``KeyedPrefix`` holds such a prefix state for code that draws many
-values under one shared prefix, like each node of the VIM recursion.
+full key.  Code that draws many values under one shared prefix, like each
+node of the VIM recursion, keeps the prefix's stream and hashes only tails.
 """
 
 from __future__ import annotations
@@ -26,21 +27,25 @@ import struct
 
 import numpy as np
 
-__all__ = ["KeyedPrefix", "RandomStream", "encode_key", "keyed_uniform"]
+__all__ = ["RandomStream", "encode_key", "keyed_uniform"]
 
 _U64 = float(1 << 64)
 _INT = struct.Struct("<q")
+_U64_LE = struct.Struct("<Q")
 _TAGGED_INT = struct.Struct("<cq")
 _TAGGED_LEN = struct.Struct("<cI")
 
 
 def encode_key(key: tuple) -> bytes:
     """Byte encoding of key parts; concatenating encodings encodes the
-    concatenated key, which is what makes prefix states reusable."""
+    concatenated key, which is what makes prefix states reusable.  A bytes
+    part is taken as the encoding of parts encoded earlier."""
     parts = []
     for part in key:
         if type(part) is int:
             parts.append(_TAGGED_INT.pack(b"i", part))
+        elif type(part) is bytes:
+            parts.append(part)
         elif isinstance(part, bool):
             # bool subclasses int: packed as one, True would alias 1.
             raise TypeError("key parts must be str or int, got bool")
@@ -55,90 +60,58 @@ def encode_key(key: tuple) -> bytes:
     return b"".join(parts)
 
 
-def _hasher(master_seed: int):
-    return hashlib.blake2b(_INT.pack(master_seed), digest_size=16)
-
-
-def _digest(master_seed: int, key: tuple) -> bytes:
-    h = _hasher(master_seed)
-    h.update(encode_key(key))
-    return h.digest()
-
-
 def keyed_uniform(master_seed: int, key: tuple) -> float:
     """Stateless uniform in [0, 1) at address (master_seed, key)."""
-    d = _digest(master_seed, key)
-    return int.from_bytes(d[:8], "little") / _U64
-
-
-class KeyedPrefix:
-    """The hash state of address (master_seed, key), ready for tails.
-
-    ``child(tail)`` is the prefix of ``key + tail`` and ``u(tail)`` equals
-    ``keyed_uniform(master_seed, key + tail)``; a tail is a key tuple or its
-    ``encode_key`` bytes, so hot loops can encode their tails once.
-
-    ``perturbed(trial, keep)`` gives the same source with one change: a draw
-    whose ``locus`` (the vertices it concerns) is missing or fails ``keep``
-    appends ``("pert", trial)`` to its full key, which resamples exactly the
-    randomness outside the region that ``keep`` describes.
-    """
-
-    __slots__ = ("_h", "_keep", "_pert")
-
-    def __init__(self, master_seed: int, key: tuple = ()):
-        self._h = _hasher(int(master_seed))
-        self._h.update(encode_key(key))
-        self._keep = None
-        self._pert = b""
-
-    def _derive(self, h) -> "KeyedPrefix":
-        out = KeyedPrefix.__new__(KeyedPrefix)
-        out._h = h
-        out._keep = self._keep
-        out._pert = self._pert
-        return out
-
-    def child(self, tail) -> "KeyedPrefix":
-        h = self._h.copy()
-        h.update(tail if type(tail) is bytes else encode_key(tail))
-        return self._derive(h)
-
-    def perturbed(self, trial: int, keep) -> "KeyedPrefix":
-        out = self._derive(self._h.copy())
-        out._keep = keep
-        out._pert = encode_key(("pert", trial))
-        return out
-
-    def u(self, tail, locus=None) -> float:
-        h = self._h.copy()
-        h.update(tail if type(tail) is bytes else encode_key(tail))
-        if self._keep is not None and (locus is None or not self._keep(locus)):
-            h.update(self._pert)
-        return int.from_bytes(h.digest()[:8], "little") / _U64
+    return RandomStream(master_seed, key).uniform_at(())
 
 
 class RandomStream:
-    """A reproducible stream of uniforms identified by (master_seed, key).
+    """A reproducible source of uniforms at address (master_seed, key).
 
-    ``child(*parts)`` derives a sub-stream at an extended address;
-    ``uniform_at(*parts)`` returns one stateless value at a sub-address.
-    The first string in the key acts as the stream's purpose tag, which
-    callers use to keep the key spaces of different pipeline stages disjoint.
+    The stream holds the blake2b state of its address.  ``child(*parts)`` is
+    the stream at ``key + parts``.  ``uniform_at(tail)`` is the one stateless
+    value at ``key + tail`` and equals ``keyed_uniform(master_seed, key +
+    tail)``.  Parts and tails may come as ``encode_key`` bytes, so hot loops
+    can encode them once.  ``uniforms(shape)`` draws arrays from a Philox
+    generator keyed by the address digest, advancing the stream.  The first
+    string in the key acts as the stream's purpose tag, which callers use to
+    keep the key spaces of different pipeline stages disjoint.
+
+    ``perturbed(trial, keep)`` gives the same source with one change: a
+    scalar draw whose ``locus`` (the vertices it concerns) is missing or
+    fails ``keep`` appends ``("pert", trial)`` to its full key, which
+    resamples exactly the randomness outside the region that ``keep``
+    describes.
     """
 
-    __slots__ = ("master_seed", "key", "_gen")
+    __slots__ = ("key", "_h", "_pert", "_gen")
 
     def __init__(self, master_seed: int, key: tuple = ()):
-        self.master_seed = int(master_seed)
         self.key = tuple(key)
+        self._h = hashlib.blake2b(_INT.pack(int(master_seed)), digest_size=16)
+        self._h.update(encode_key(self.key))
+        self._pert = None
         self._gen = None
 
     def __repr__(self):
-        return f"RandomStream(seed={self.master_seed}, key={self.key!r})"
+        return f"RandomStream(key={self.key!r})"
+
+    def _derive(self, h, key: tuple, pert) -> "RandomStream":
+        out = RandomStream.__new__(RandomStream)
+        out.key = key
+        out._h = h
+        out._pert = pert
+        out._gen = None
+        return out
 
     def child(self, *parts) -> "RandomStream":
-        return RandomStream(self.master_seed, self.key + parts)
+        h = self._h.copy()
+        h.update(parts[0] if len(parts) == 1 and type(parts[0]) is bytes
+                 else encode_key(parts))
+        return self._derive(h, self.key + parts, self._pert)
+
+    def perturbed(self, trial: int, keep) -> "RandomStream":
+        return self._derive(self._h, self.key, (keep, encode_key(("pert", trial))))
 
     @property
     def purpose(self) -> str | None:
@@ -147,21 +120,20 @@ class RandomStream:
                 return part
         return None
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key128 = int.from_bytes(_digest(self.master_seed, self.key), "little")
-            self._gen = np.random.Generator(np.random.Philox(key=key128))
-        return self._gen
-
     def uniforms(self, shape) -> np.ndarray:
         """Draw an array of uniforms in [0, 1), advancing the stream."""
-        return self._generator().random(shape)
+        if self._gen is None:
+            key128 = int.from_bytes(self._h.digest(), "little")
+            self._gen = np.random.Generator(np.random.Philox(key=key128))
+        return self._gen.random(shape)
 
-    def uniform(self) -> float:
-        return float(self._generator().random())
-
-    def uniform_at(self, *parts) -> float:
-        return keyed_uniform(self.master_seed, self.key + parts)
+    def uniform_at(self, tail, locus=None) -> float:
+        h = self._h.copy()
+        h.update(tail if type(tail) is bytes else encode_key(tail))
+        pert = self._pert
+        if pert is not None and (locus is None or not pert[0](locus)):
+            h.update(pert[1])
+        return _U64_LE.unpack_from(h.digest())[0] / _U64
 
 
 def as_stream(seed, purpose: str) -> RandomStream:

@@ -87,7 +87,7 @@ def default_R(tau_minus: float, cap: int = DEFAULT_R_CAP) -> int:
     if value > cap:
         raise ParameterOverflowError(
             f"R = ceil(1/(2*tau_minus)) = {value} exceeds the cap of {cap}; "
-            f"pass an explicit R override (--R-override) for desk-scale runs"
+            f"pass an explicit R override for desk-scale runs (certify --R, or the config key R)"
         )
     return value
 

@@ -11,7 +11,6 @@ __all__ = [
     "binomial_se",
     "ratio_se",
     "covariance_se",
-    "three_sigma_equal",
 ]
 
 
@@ -54,8 +53,3 @@ def covariance_se(x, y) -> tuple[float, float]:
     cov = float(products.sum() / (n - 1))
     se = float(products.std(ddof=1) / math.sqrt(n))
     return cov, se
-
-
-def three_sigma_equal(mean_a: float, se_a: float, mean_b: float, se_b: float) -> bool:
-    """Two-sample equality of means at the 3-sigma level."""
-    return abs(mean_a - mean_b) <= 3.0 * math.sqrt(se_a**2 + se_b**2) + 1e-12

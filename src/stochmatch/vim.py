@@ -16,8 +16,8 @@ vertex a measurable function of a bounded ball around it in the crucial
 graph, which ``dependency_radius`` verifies empirically by resampling all
 randomness outside a ball and checking the vertex's output never changes.
 
-Each recursion node holds the hash state of its path (a ``KeyedPrefix``),
-and its children extend that state by their ``("rec", level, slot)`` step.
+Each recursion node holds the stream of its path (a ``RandomStream``), and
+its children extend that stream by their ``("rec", level, slot)`` step.
 A slot draw hashes only its pre-encoded ``("real", level, slot, edge)``
 tail, and an MIS priority only its round and walk; since the hash streams,
 every value equals the full-key ``keyed_uniform`` it replaces.
@@ -26,16 +26,15 @@ every value equals the full-key ``keyed_uniform`` it replaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .decomposition import EdgeClassification
 from .errors import ConflictGraphCapError, ParameterOverflowError
-from .graph import Matching, Realization
 from .mis import luby_rounds, mis_round_budget
-from .randomness import KeyedPrefix, encode_key
+from .randomness import RandomStream, encode_key
 
 __all__ = [
     "VimParams",
@@ -46,11 +45,14 @@ __all__ = [
     "build_conflict_graph",
     "apply_hyperwalks",
     "VimEngine",
-    "find_matching",
-    "estimate_gamma",
-    "dependency_radius",
     "locality_bound",
 ]
+
+# Guards of ``VimParams.paper``: largest alpha and depth, and largest log2 of
+# the recursion tree size, that run without ``force``.
+_PAPER_ALPHA_CAP = 10**4
+_PAPER_DEPTH_CAP = 10**4
+_PAPER_WORK_BITS_CAP = 24.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class VimParams:
     depth: int = 3
     walk_cap: int = 3
     gamma_samples: int = 400
-    saturation_slack: float | None = None
     gamma_ci_factor: float = 3.0
     mis_round_factor: float = 2.0
     conflict_cap: int = 100_000
@@ -79,30 +80,26 @@ class VimParams:
 
     @property
     def slack(self) -> float:
-        if self.saturation_slack is not None:
-            return self.saturation_slack
         return 2.0 * self.epsilon * self.epsilon
 
     @classmethod
-    def paper(cls, epsilon: float, *, force: bool = False, alpha_cap: int = 10**4,
-              depth_cap: int = 10**4, work_bits_cap: float = 24.0,
-              **overrides) -> "VimParams":
+    def paper(cls, epsilon: float, *, force: bool = False, **overrides) -> "VimParams":
         """Paper-scale alpha = 1/eps^7 - 1, depth = 1/eps^9, walk cap < 2/eps.
 
         The recursion evaluates about (alpha + 1)^depth nodes, so the guard
-        checks that log2 of the tree size stays under ``work_bits_cap`` too.
+        checks that log2 of the tree size stays under its cap too.
         """
         alpha = round(epsilon**-7) - 1
         depth = math.ceil(epsilon**-9)
         walk_cap = max(1, math.ceil(2.0 / epsilon) - 1)
         work_bits = depth * math.log2(alpha + 1) if alpha >= 0 else 0.0
-        if not force and (alpha > alpha_cap or depth > depth_cap
-                          or work_bits > work_bits_cap):
+        if not force and (alpha > _PAPER_ALPHA_CAP or depth > _PAPER_DEPTH_CAP
+                          or work_bits > _PAPER_WORK_BITS_CAP):
             raise ParameterOverflowError(
                 f"paper-scale constants for epsilon={epsilon}: alpha={alpha}, "
                 f"depth={depth}, walk_cap={walk_cap}, recursion tree about "
-                f"2^{work_bits:.0f} nodes; guards are alpha_cap={alpha_cap}, "
-                f"depth_cap={depth_cap}, work_bits_cap={work_bits_cap}; pass "
+                f"2^{work_bits:.0f} nodes; guards are alpha_cap={_PAPER_ALPHA_CAP}, "
+                f"depth_cap={_PAPER_DEPTH_CAP}, work_bits_cap={_PAPER_WORK_BITS_CAP}; pass "
                 f"force=True or use desk-scale parameters"
             )
         return cls(epsilon=epsilon, alpha=alpha, depth=depth, walk_cap=walk_cap, **overrides)
@@ -364,8 +361,7 @@ class VimEngine:
     def __init__(self, classification: EdgeClassification, params: VimParams, seed: int):
         self.cls = classification
         self.params = params
-        self.master_seed = int(seed)
-        self.rand = KeyedPrefix(self.master_seed, ("vim",))
+        self.rand = RandomStream(seed, ("vim",))
         self._gamma: dict[int, np.ndarray] = {}
         self._gamma_se: dict[int, np.ndarray] = {}
         self._saturated: dict[int, frozenset[int]] = {}
@@ -384,13 +380,13 @@ class VimEngine:
 
     def input_realization(self, key: tuple, rand=None) -> frozenset[int]:
         """Sample a fresh realization of the crucial graph, bit per edge."""
-        return self._draw_edges((rand or self.rand).child(key), self._input_tails)
+        return self._draw_edges((rand or self.rand).child(*key), self._input_tails)
 
-    def _draw_edges(self, rand: KeyedPrefix, tails: list[bytes]) -> frozenset[int]:
+    def _draw_edges(self, rand: RandomStream, tails: list[bytes]) -> frozenset[int]:
         """Crucial edges whose draw at ``rand`` + tail falls under p_e."""
         cp, ends = self._cp, self._ends
         return frozenset(e for e, tail in zip(self._cedges, tails)
-                         if rand.u(tail, ends[e]) < cp[e])
+                         if rand.uniform_at(tail, ends[e]) < cp[e])
 
     def _tail(self, key: tuple) -> bytes:
         raw = self._tails.get(key)
@@ -427,7 +423,7 @@ class VimEngine:
         for s in range(samples):
             key = ("gamma", r, s)
             creal = self.input_realization(key)
-            z = self._find(r, creal, self.rand.child(key), None)
+            z = self._find(r, creal, self.rand.child(*key), None)
             for e in z:
                 u, v = self._ends[e]
                 counts[u] += 1
@@ -452,16 +448,16 @@ class VimEngine:
 
     # -- the construction ----------------------------------------------------
 
-    def run(self, depth: int, crealization, key: tuple = ("run",), rand=None,
+    def run(self, depth: int, crealization, key: tuple = ("run",),
             trace: list | None = None) -> frozenset[int]:
         """Matching (edge ids) of the given crucial realization at ``depth``."""
         creal = frozenset(int(e) for e in crealization)
         if not creal <= self._cedge_set:
             raise ValueError("input realization contains non-crucial edges")
-        return self._find(depth, creal, (rand or self.rand).child(key), trace)
+        return self._find(depth, creal, self.rand.child(*key), trace)
 
-    def _find(self, r: int, creal: frozenset[int], rand: KeyedPrefix, trace):
-        """Level-r matching of ``creal``; ``rand`` is the hash state of this
+    def _find(self, r: int, creal: frozenset[int], rand: RandomStream, trace):
+        """Level-r matching of ``creal``; ``rand`` is the stream of this
         node's recursion path, to which every draw appends only its tail."""
         if r == 0:
             return frozenset()
@@ -486,13 +482,13 @@ class VimEngine:
         budget = mis_round_budget(max_deg, self.params.epsilon, self.params.mis_round_factor)
         self.max_mis_rounds = max(self.max_mis_rounds, budget)
         walk_tails = [encode_key(w.rand_key()) for w in walks]
-        round_states: dict[int, KeyedPrefix] = {}
+        round_states: dict[int, RandomStream] = {}
 
         def priority(rnd: int, node: int) -> float:
             state = round_states.get(rnd)
             if state is None:
                 state = round_states[rnd] = rand.child(self._tail(("mis", r, rnd)))
-            return state.u(walk_tails[node], walks[node].vertices)
+            return state.uniform_at(walk_tails[node], walks[node].vertices)
 
         result = luby_rounds(adj, budget, priority)
         chosen = [walks[i] for i in result.in_set]
@@ -524,8 +520,7 @@ class VimEngine:
 
     # -- locality ------------------------------------------------------------
 
-    def dependency_radius(self, v: int, depth: int, trials: int = 20,
-                          key_tag: tuple = ()) -> int:
+    def dependency_radius(self, v: int, depth: int, trials: int = 20) -> int:
         """Smallest rho such that resampling all randomness whose locus leaves
         the rho-ball around v (in the crucial graph) never changes whether v
         is matched, over ``trials`` perturbations per radius."""
@@ -535,9 +530,9 @@ class VimEngine:
             self.saturated_set(level)
         dist = self.cls.crucial_distances(v)
         ecc = max(dist.values()) if dist else 0
-        key = ("dep", v) + key_tag
+        key = ("dep", v)
         base_real = self.input_realization(key)
-        base_z = self._find(depth, base_real, self.rand.child(key), None)
+        base_z = self._find(depth, base_real, self.rand.child(*key), None)
         base_x = any(v in self._ends[e] for e in base_z)
         for rho in range(0, ecc + 1):
             def keep(locus, _rho=rho):
@@ -547,7 +542,7 @@ class VimEngine:
             for trial in range(trials):
                 perturbed = self.rand.perturbed(trial, keep)
                 creal = self.input_realization(key, rand=perturbed)
-                z = self._find(depth, creal, perturbed.child(key), None)
+                z = self._find(depth, creal, perturbed.child(*key), None)
                 self.perturbations_run += 1
                 x = any(v in self._ends[e] for e in z)
                 if x != base_x:
@@ -563,31 +558,3 @@ def locality_bound(depth: int, walk_cap: int, mis_rounds: int) -> int:
     walk span per MIS hop plus the walk around the vertex itself."""
     return depth * walk_cap * (2 * mis_rounds + 1)
 
-
-# -- module-level convenience wrappers ---------------------------------------
-
-
-def find_matching(r: int, crealization, params: VimParams,
-                  classification: EdgeClassification, seed: int) -> Matching:
-    """One-shot construction; fresh engine, so gamma tables are rebuilt."""
-    if isinstance(crealization, Realization):
-        ids = [e for e in crealization.edge_ids() if e in set(classification.crucial_edges)]
-    else:
-        ids = list(crealization)
-    engine = VimEngine(classification, params, seed)
-    z = engine.run(r, ids)
-    return Matching(classification.graph, z)
-
-
-def estimate_gamma(r: int, params: VimParams, classification: EdgeClassification,
-                   samples: int, seed: int) -> np.ndarray:
-    """Per-vertex matched frequency of the level-r construction."""
-    engine = VimEngine(classification, replace(params, gamma_samples=samples), seed)
-    return engine.gamma_table(r)
-
-
-def dependency_radius(v: int, r: int, params: VimParams,
-                      classification: EdgeClassification, seed: int,
-                      trials: int = 20) -> int:
-    engine = VimEngine(classification, params, seed)
-    return engine.dependency_radius(v, r, trials=trials)

@@ -1,10 +1,16 @@
 """CLI smoke tests over the subcommands."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from stochmatch.cli import main
+from stochmatch.decomposition import classify, estimate_q, threshold_schedule
+from stochmatch.generators import path
+from stochmatch.harness import independence_test
+from stochmatch.vim import VimParams
 
 
 def _run(capsys, argv):
@@ -70,6 +76,27 @@ def test_vim_output(capsys):
     assert "size_by_depth" in payload and "per_vertex_match_freq" in payload
 
 
+def test_vim_prints_the_independence_report(capsys):
+    argv = ["vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}',
+            "--samples", "2000", "--alpha", "2", "--depth", "1",
+            "--gamma-samples", "50", "--runs", "20"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    g = path(3, 0.6)
+    est = estimate_q(g, 2000, 0)
+    schedule = threshold_schedule(est.q_hat, est.opt_hat, 0.3, g.p_min)
+    cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, 0.3)
+    params = VimParams(epsilon=0.3, alpha=2, depth=1, walk_cap=3, gamma_samples=50)
+    report = independence_test(g, cls, params, 20, 0)
+    assert payload["per_vertex_match_freq"] == report.match_freq
+    assert payload["far_pairs"] == report.far_pairs
+    assert payload["controls"] == report.controls
+    assert payload["notice"] == report.notice
+    assert set(payload["size_by_depth"]) == {"0", "1"}
+    assert payload["size_by_depth"]["0"] == 0.0
+
+
 def test_certify_output(capsys):
     code, out = _run(capsys, [
         "certify", "--family", "path", "--params", '{"n": 3, "p": 0.6}',
@@ -114,6 +141,20 @@ def test_csv_output(capsys):
     ])
     assert code == 0
     assert any(line.startswith("opt,") for line in out.splitlines())
+
+
+def test_csv_output_parses_back_to_the_json_output(capsys):
+    argv = ["decompose", "--family", "path", "--params", '{"n": 3, "p": 0.5}',
+            "--samples", "2000", "--epsilon", "0.3"]
+    code, out_json = _run(capsys, argv)
+    assert code == 0
+    code, out_csv = _run(capsys, argv + ["--out", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_csv)))
+    assert all(len(row) == 2 for row in rows)
+    parsed = {key: json.loads(value) for key, value in rows}
+    assert parsed == json.loads(out_json)
+    assert parsed["labels"] and all(isinstance(lab, str) for lab in parsed["labels"])
 
 
 def test_guard_errors_exit_2(capsys, tmp_path):

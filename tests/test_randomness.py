@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stochmatch.graph import StochasticGraph, sample_realization
-from stochmatch.randomness import KeyedPrefix, RandomStream, encode_key, keyed_uniform
+from stochmatch.randomness import RandomStream, encode_key, keyed_uniform
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 _PART = st.one_of(
@@ -59,9 +59,9 @@ def test_child_key_extension():
 
 def test_uniform_at_stateless():
     s = RandomStream(9, ("p",))
-    x = s.uniform_at("e", 4)
-    y = s.uniform_at("e", 4)
-    z = s.uniform_at("e", 5)
+    x = s.uniform_at(("e", 4))
+    y = s.uniform_at(("e", 4))
+    z = s.uniform_at(("e", 5))
     assert x == y
     assert x != z
     assert 0.0 <= x < 1.0
@@ -103,20 +103,20 @@ def test_tiny_probability_single_draw():
 @given(seed=_INT64, a=_KEY, b=_KEY, c=_KEY)
 def test_prefix_state_equals_full_key(seed, a, b, c):
     full = keyed_uniform(seed, a + b + c)
-    prefix = KeyedPrefix(seed, a).child(b)
-    assert prefix.u(c) == full
-    assert prefix.u(encode_key(c)) == full
-    assert KeyedPrefix(seed).child(encode_key(a + b)).u(c) == full
+    prefix = RandomStream(seed, a).child(*b)
+    assert prefix.uniform_at(c) == full
+    assert prefix.uniform_at(encode_key(c)) == full
+    assert RandomStream(seed).child(encode_key(a + b)).uniform_at(c) == full
 
 
 def test_perturbed_prefix_resamples_outside_the_kept_region():
-    base = KeyedPrefix(7, ("vim",))
-    pert = base.perturbed(3, keep=lambda locus: 0 in locus).child(("k",))
+    base = RandomStream(7, ("vim",))
+    pert = base.perturbed(3, keep=lambda locus: 0 in locus).child("k")
     kept = keyed_uniform(7, ("vim", "k", "input", 1))
     resampled = keyed_uniform(7, ("vim", "k", "input", 1, "pert", 3))
-    assert pert.u(("input", 1), (0, 1)) == kept
-    assert pert.u(("input", 1), (1, 2)) == resampled
-    assert pert.u(("input", 1)) == resampled
+    assert pert.uniform_at(("input", 1), (0, 1)) == kept
+    assert pert.uniform_at(("input", 1), (1, 2)) == resampled
+    assert pert.uniform_at(("input", 1)) == resampled
     assert kept != resampled
 
 
@@ -126,6 +126,6 @@ def test_bool_key_parts_rejected():
         with pytest.raises(TypeError, match="bool"):
             keyed_uniform(0, key)
     with pytest.raises(TypeError, match="bool"):
-        KeyedPrefix(0, ("x",)).u((True,))
+        RandomStream(0, ("x",)).uniform_at((True,))
     with pytest.raises(TypeError, match="bool"):
         RandomStream(0, ("x", np.bool_(True))).uniforms(1)

@@ -88,6 +88,12 @@ def test_default_R():
         default_R(1e-9, cap=10**6)
 
 
+def test_default_R_overflow_names_the_real_overrides():
+    with pytest.raises(ParameterOverflowError, match=r"certify --R, or the config key R") as info:
+        default_R(1e-9, cap=10**6)
+    assert "--R-override" not in str(info.value)
+
+
 def test_baseline_path_exhausts():
     g = path_graph(5, 0.5)
     q = build_baseline_iterative(g, R=5)

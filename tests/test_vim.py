@@ -16,10 +16,7 @@ from stochmatch.vim import (
     VimParams,
     apply_hyperwalks,
     build_conflict_graph,
-    dependency_radius,
     enumerate_augmenting_hyperwalks,
-    estimate_gamma,
-    find_matching,
     is_augmenting,
     locality_bound,
 )
@@ -216,21 +213,21 @@ def test_apply_rejects_overlapping_walks():
 def test_depth_zero_is_empty():
     cls = single_edge_cls()
     params = VimParams(epsilon=0.3, alpha=0, depth=0, gamma_samples=10)
-    z = find_matching(0, [0], params, cls, seed=1)
+    z = VimEngine(cls, params, seed=1).run(0, [0])
     assert len(z) == 0
 
 
 def test_single_edge_level_one_matches_when_realized():
     cls = single_edge_cls(p=1.0)
     params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=10)
-    z = find_matching(1, [0], params, cls, seed=1)
-    assert z.edges == frozenset({0})
+    z = VimEngine(cls, params, seed=1).run(1, [0])
+    assert z == frozenset({0})
 
 
 def test_unrealized_edge_never_matched():
     cls = single_edge_cls(p=0.5)
     params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=10)
-    z = find_matching(1, [], params, cls, seed=1)
+    z = VimEngine(cls, params, seed=1).run(1, [])
     assert len(z) == 0
 
 
@@ -268,14 +265,14 @@ def test_z_subset_of_input_realization():
 def test_gamma_r0_zero():
     cls = single_edge_cls(p=0.6)
     params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=10)
-    gam = estimate_gamma(0, params, cls, samples=10, seed=0)
+    gam = VimEngine(cls, params, seed=0).gamma_table(0)
     assert np.all(gam == 0)
 
 
 def test_gamma_single_edge_level_one():
     cls = single_edge_cls(p=0.6)
-    params = VimParams(epsilon=0.3, alpha=0, depth=1)
-    gam = estimate_gamma(1, params, cls, samples=10_000, seed=3)
+    params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=10_000)
+    gam = VimEngine(cls, params, seed=3).gamma_table(1)
     tol = 3 * math.sqrt(0.6 * 0.4 / 10_000)
     assert abs(gam[0] - 0.6) <= tol
     assert abs(gam[1] - 0.6) <= tol
@@ -287,7 +284,7 @@ def test_gamma_zero_without_crucial_edges():
     cls = classify(g, stats.q, tau_minus=0.9, tau_plus=0.95, epsilon=0.3)
     assert cls.crucial_edges == ()
     params = VimParams(epsilon=0.3, alpha=1, depth=2, gamma_samples=20)
-    gam = estimate_gamma(2, params, cls, samples=20, seed=1)
+    gam = VimEngine(cls, params, seed=1).gamma_table(2)
     assert np.all(gam == 0)
 
 
@@ -295,9 +292,9 @@ def test_determinism_given_seed():
     g = path_graph(4, 0.6)
     cls = all_crucial(g)
     params = VimParams(epsilon=0.3, alpha=2, depth=2, gamma_samples=30)
-    a = find_matching(2, [0, 2], params, cls, seed=11)
-    b = find_matching(2, [0, 2], params, cls, seed=11)
-    assert a.edges == b.edges
+    a = VimEngine(cls, params, seed=11).run(2, [0, 2])
+    b = VimEngine(cls, params, seed=11).run(2, [0, 2])
+    assert a == b
 
 
 def test_run_rejects_noncrucial_input():
@@ -342,13 +339,13 @@ def test_dependency_radius_isolated_vertex():
     # Vertex 2 is isolated; vertex ids beyond the single crucial edge.
     cls = all_crucial(g)
     params = VimParams(epsilon=0.3, alpha=1, depth=1, gamma_samples=20)
-    assert dependency_radius(2, 1, params, cls, seed=0, trials=10) == 0
+    assert VimEngine(cls, params, seed=0).dependency_radius(2, 1, trials=10) == 0
 
 
 def test_dependency_radius_single_edge():
     cls = single_edge_cls(p=0.5)
     params = VimParams(epsilon=0.3, alpha=1, depth=1, gamma_samples=20)
-    r = dependency_radius(0, 1, params, cls, seed=0, trials=20)
+    r = VimEngine(cls, params, seed=0).dependency_radius(0, 1, trials=20)
     assert r <= 1
 
 
