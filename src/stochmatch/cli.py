@@ -160,12 +160,14 @@ def _vim_params(args) -> VimParams:
 
 
 def _cmd_vim(args):
+    if args.runs < 2:
+        raise StochmatchError(f"vim needs --runs >= 2 to estimate covariances, got {args.runs}")
     g = _load_graph(args)
     _est, _schedule, cls = _decompose(args, g)
     params = _vim_params(args)
-    report = independence_test(g, cls, params, args.runs, args.seed)
-    # E|Z_r| is half the summed per-vertex matched frequency at level r.
     engine = VimEngine(cls, params, args.seed)
+    report = independence_test(g, cls, engine, args.runs)
+    # E|Z_r| is half the summed per-vertex matched frequency at level r.
     _emit(args, {
         "per_vertex_match_freq": report.match_freq,
         "size_by_depth": {str(r): float(engine.gamma_table(r).sum() / 2)

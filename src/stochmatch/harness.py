@@ -192,23 +192,24 @@ class IndependenceReport:
 def independence_test(
     g: StochasticGraph,
     classification,
-    params: VimParams,
+    engine: VimEngine,
     samples: int,
-    seed: int,
 ) -> IndependenceReport:
     """Covariance of matched indicators for far vertex pairs, plus controls.
 
     Far pairs (crucial-graph distance at least lambda) should show covariance
     within three standard errors of zero; endpoints of one crucial edge are
-    the positively correlated negative control.
+    the positively correlated negative control.  The samples are the
+    engine's runs at its full depth, so its gamma tables can be shared with
+    the caller.
     """
-    engine = VimEngine(classification, params, seed)
     lam = classification.lam
     n = g.n
+    depth = engine.params.depth
     X = np.zeros((samples, n), dtype=bool)
     for s in range(samples):
         creal = engine.input_realization(("ind", s))
-        z = engine.run(params.depth, creal, key=("ind", s))
+        z = engine.run(depth, creal, key=("ind", s))
         for e in z:
             u, v = g.endpoints(e)
             X[s, u] = True

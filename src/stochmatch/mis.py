@@ -1,22 +1,36 @@
 """Round-synchronous randomized independent set, simulated centrally.
 
-Each round, every undecided node draws a fresh priority and joins the
-independent set when it beats all undecided neighbors; winners and their
-neighbors become decided.  The round budget depends only on the maximum
-degree and the accuracy parameter, never on the number of nodes, which is
-what keeps each node's output a function of a bounded neighborhood.  Nodes
-still undecided when the budget runs out are simply left out, so the result
-is always independent but only approximately maximal.
+Nodes are given by their members (for VIM, a hyperwalk's vertices; for an
+explicit graph, its incident edges), and two nodes conflict exactly when
+they share a member, so no pairwise conflict graph is ever built.  Each
+round, every undecided node draws a fresh priority and joins the independent
+set when it is the strict, unique minimum at every one of its members, which
+is Luby's rule "beats all undecided neighbours"; winners and the nodes that
+share a member with them become decided.  The round budget depends only on
+the maximum degree and the accuracy parameter, never on the number of
+nodes, which is what keeps each node's output a function of a bounded
+neighborhood.  Nodes still undecided when the budget runs out are simply
+left out, so the result is always independent but only approximately
+maximal.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .randomness import as_stream
 
-__all__ = ["MisResult", "apx_mis", "luby_rounds", "mis_round_budget", "greedy_complete"]
+__all__ = [
+    "MisResult",
+    "apx_mis",
+    "luby_rounds",
+    "max_conflict_degree",
+    "mis_round_budget",
+    "greedy_complete",
+]
 
 
 @dataclass
@@ -34,32 +48,79 @@ def mis_round_budget(max_degree: int, epsilon: float, factor: float = 2.0) -> in
     return max(1, math.ceil(factor * math.log2((max_degree + 2) / delta_fail)))
 
 
-def luby_rounds(adjacency, rounds: int, priority) -> MisResult:
+def max_conflict_degree(members) -> int:
+    """Largest number of other nodes that share a member with one node.
+
+    Nodes with one member set C share members with the same nodes, so each
+    has degree (number of nodes whose member set meets C) - 1; the nodes are
+    grouped by member set and only the groups are intersected.
+    """
+    groups = Counter(frozenset(m) for m in members)
+    groups.pop(frozenset(), None)  # a node without members conflicts with nothing
+    if len(groups) <= 1:
+        return max(sum(groups.values()) - 1, 0)
+    by_member: dict = {}
+    for c in groups:
+        for m in c:
+            by_member.setdefault(m, []).append(c)
+    return max(
+        sum(groups[d] for d in set(chain.from_iterable(by_member[m] for m in c)))
+        for c in groups
+    ) - 1
+
+
+def luby_rounds(members, rounds: int, priority) -> MisResult:
     """Run the round-synchronous rule with priorities from ``priority(round, node)``.
 
-    ``adjacency`` is a sequence of neighbor collections indexed by node.
+    ``members`` is a sequence of member collections indexed by node; two
+    nodes are neighbours when they share a member.  Each round records the
+    lowest priority at every member, the node holding it, and the second
+    lowest; a node joins when it holds the lowest at each of its members and
+    is strictly below the second lowest there.  That is exactly the rule
+    ``all(pri[v] < pri[u] for undecided neighbours u)``, ties included, at a
+    cost linear in the members of the undecided nodes.
     """
-    n = len(adjacency)
-    undecided = set(range(n))
+    undecided = set(range(len(members)))
     chosen = []
     rounds_used = 0
     for r in range(rounds):
         if not undecided:
             break
         rounds_used = r + 1
-        pri = {v: priority(r, v) for v in undecided}
-        joined = [
-            v
-            for v in sorted(undecided)
-            if all(pri[v] < pri[u] for u in adjacency[v] if u in undecided)
-        ]
+        order = sorted(undecided)
+        pri = [priority(r, v) for v in order]
+        # member -> [lowest priority, its node, second-lowest priority or None]
+        low: dict = {}
+        for v, p in zip(order, pri):
+            for m in members[v]:
+                rec = low.get(m)
+                if rec is None:
+                    low[m] = [p, v, None]
+                elif rec[1] == v:
+                    continue  # a member listed twice by one node
+                elif p < rec[0]:
+                    rec[2] = rec[0]
+                    rec[0] = p
+                    rec[1] = v
+                elif rec[2] is None or p < rec[2]:
+                    rec[2] = p
+        joined = []
+        taken = set()
+        for v, p in zip(order, pri):
+            mems = members[v]
+            for m in mems:
+                rec = low[m]
+                if rec[1] != v or (rec[2] is not None and not p < rec[2]):
+                    break
+            else:
+                joined.append(v)
+                taken.update(mems)
         if not joined:
             continue
-        removed = set(joined)
-        for v in joined:
-            chosen.append(v)
-            removed.update(u for u in adjacency[v] if u in undecided)
-        undecided -= removed
+        chosen.extend(joined)
+        undecided = {u for u in undecided if taken.isdisjoint(members[u])}
+        # A joiner with no members takes nothing, so drop the joiners too.
+        undecided.difference_update(joined)
     return MisResult(
         in_set=tuple(sorted(chosen)),
         undecided=tuple(sorted(undecided)),
@@ -72,11 +133,22 @@ def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
 
     Node priorities are independent keyed uniforms per (round, node), so the
     outcome distribution is symmetric under any relabeling of the nodes.
+    Each node's members are its incident edges, so ``adjacency`` must be
+    symmetric and loop-free.
     """
+    members = []
+    for v, nbrs in enumerate(adjacency):
+        if v in nbrs:
+            raise ValueError(f"node {v} is its own neighbour")
+        for u in nbrs:
+            if v not in adjacency[u]:
+                raise ValueError(f"adjacency is not symmetric: {u} in adjacency[{v}] "
+                                 f"but {v} not in adjacency[{u}]")
+        members.append([(u, v) if u < v else (v, u) for u in nbrs])
     max_deg = max((len(a) for a in adjacency), default=0)
     stream = as_stream(seed, "mis")
     result = luby_rounds(
-        adjacency, mis_round_budget(max_deg, epsilon),
+        members, mis_round_budget(max_deg, epsilon),
         lambda r, v: stream.uniform_at(("round", r, "node", v)),
     )
     _assert_independent(adjacency, result.in_set)

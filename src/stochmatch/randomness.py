@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["RandomStream", "encode_key", "keyed_uniform"]
+__all__ = ["IntKeys", "RandomStream", "encode_key", "keyed_uniform"]
 
 _U64 = float(1 << 64)
 _INT = struct.Struct("<q")
@@ -58,6 +58,15 @@ def encode_key(key: tuple) -> bytes:
         else:
             raise TypeError(f"key parts must be str or int, got {type(part).__name__}")
     return b"".join(parts)
+
+
+class IntKeys(dict):
+    """``encode_key((x,))`` by integer x, encoded on first use; joining the
+    pieces of x1, x2, ... gives ``encode_key((x1, x2, ...))``."""
+
+    def __missing__(self, x: int) -> bytes:
+        raw = self[x] = encode_key((x,))
+        return raw
 
 
 def keyed_uniform(master_seed: int, key: tuple) -> float:

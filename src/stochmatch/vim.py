@@ -6,6 +6,13 @@ enumerates augmenting hyperwalks whose endpoints are still unsaturated,
 selects a vertex-disjoint subset of them with a round-limited randomized
 independent set, and applies them.  The returned matching is slot 0's.
 
+Two walks conflict when they share a vertex.  The independent set runs on
+each walk's vertices as its members, and the round budget needs only the
+largest conflict degree, which ``mis.max_conflict_degree`` computes from the
+walks grouped by vertex set; so no pairwise conflict graph is built on the
+hot path (``build_conflict_graph`` stays as the explicit form and the test
+oracle).  Applying the chosen walks rebuilds only the slots they touch.
+
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
 against its crucial matched mass minus a fixed slack.
@@ -19,8 +26,9 @@ randomness outside a ball and checking the vertex's output never changes.
 Each recursion node holds the stream of its path (a ``RandomStream``), and
 its children extend that stream by their ``("rec", level, slot)`` step.
 A slot draw hashes only its pre-encoded ``("real", level, slot, edge)``
-tail, and an MIS priority only its round and walk; since the hash streams,
-every value equals the full-key ``keyed_uniform`` it replaces.
+tail, and an MIS priority only its round and walk, whose key is joined from
+cached encodings of its integers; since the hash streams, every value equals
+the full-key ``keyed_uniform`` it replaces.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ import numpy as np
 
 from .decomposition import EdgeClassification
 from .errors import ConflictGraphCapError, ParameterOverflowError
-from .mis import luby_rounds, mis_round_budget
-from .randomness import RandomStream, encode_key
+from .mis import luby_rounds, max_conflict_degree, mis_round_budget
+from .randomness import IntKeys, RandomStream, encode_key
 
 __all__ = [
     "VimParams",
@@ -126,19 +134,6 @@ class Hyperwalk:
     def endpoints(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    def rand_key(self) -> tuple:
-        flat: list[int] = [self.vertices[0]]
-        for e, s in self.steps:
-            flat.extend((e, s))
-        return tuple(flat)
-
-
-def _canonical_walk(steps, vertices) -> Hyperwalk:
-    """A walk and its reversal are the same object; keep the smaller form."""
-    fwd = (tuple(steps), tuple(vertices))
-    rev = (tuple(reversed(steps)), tuple(reversed(vertices)))
-    return Hyperwalk(*min(fwd, rev))
-
 
 class Profile:
     """Pairs (realized slot, matching of that slot) over the crucial graph."""
@@ -152,18 +147,8 @@ class Profile:
         self.cls = classification
         self.realized = [frozenset(r) for r in realized]
         self.matchings = [frozenset(m) for m in matchings]
-        self.cover: list[dict[int, int]] = []
-        for i, (real, mat) in enumerate(zip(self.realized, self.matchings)):
-            if not mat <= real:
-                raise AssertionError(f"slot {i}: matching contains unrealized edges")
-            cov: dict[int, int] = {}
-            for e in sorted(mat):
-                u, v = g.endpoints(e)
-                if u in cov or v in cov:
-                    raise AssertionError(f"slot {i}: edges are not a matching")
-                cov[u] = e
-                cov[v] = e
-            self.cover.append(cov)
+        self.cover = [_slot_cover(g, i, real, mat)
+                      for i, (real, mat) in enumerate(zip(self.realized, self.matchings))]
 
     @property
     def n_slots(self) -> int:
@@ -174,6 +159,21 @@ class Profile:
 
     def sum_d(self) -> int:
         return sum(len(cov) for cov in self.cover)
+
+
+def _slot_cover(g, i: int, real: frozenset[int], mat: frozenset[int]) -> dict[int, int]:
+    """Vertex -> matched edge of slot ``i``, checking that ``mat`` is a
+    matching of realized edges."""
+    if not mat <= real:
+        raise AssertionError(f"slot {i}: matching contains unrealized edges")
+    cov: dict[int, int] = {}
+    for e in sorted(mat):
+        u, v = g.endpoints(e)
+        if u in cov or v in cov:
+            raise AssertionError(f"slot {i}: edges are not a matching")
+        cov[u] = e
+        cov[v] = e
+    return cov
 
 
 def is_augmenting(profile: Profile, walk: Hyperwalk) -> bool:
@@ -237,7 +237,10 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     leaves a vertex's slot count unchanged and each endpoint gains one; an
     odd-length walk is therefore augmenting exactly when its endpoints differ
     and no pair is over-covered, an O(1) check per step.  Every walk is
-    reached once from each end and kept in its smaller orientation only.
+    reached once from each end and kept in its smaller orientation only,
+    which the first and last steps decide.
+    The search stops descending when no slot offers a step of the next
+    parity (at level 1, say, every matching is empty, so nothing to remove).
     """
     cadj = profile.cls.crucial_adjacency()
     n = profile.cls.graph.n
@@ -256,36 +259,36 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     found: list[Hyperwalk] = []
     steps: list[tuple[int, int]] = []
     verts: list[int] = []
-    used: set[tuple[int, int]] = set()
     over = 0
 
     def extend(cur, odd):
         nonlocal over
-        slot_lists = add_slots if odd else rem_slots
-        d = 1 if odd else -1
+        slot_lists, nxt = (add_slots, rem_slots) if odd else (rem_slots, add_slots)
+        # A pair's over-cover flips exactly when its count reaches ``flip``.
+        d, flip = (1, 2) if odd else (-1, 1)
+        descend = bool(nxt) and len(steps) + 1 < walk_cap
         for nbr, e in cadj.get(cur, ()):
             for s in slot_lists.get(e, ()):
                 step = (e, s)
-                if step in used:
+                if step in steps:
                     continue
                 row = count[s]
-                before = (row[cur] > 1) + (row[nbr] > 1)
                 row[cur] += d
                 row[nbr] += d
-                moved = (row[cur] > 1) + (row[nbr] > 1) - before
+                moved = d * ((row[cur] == flip) + (row[nbr] == flip))
                 over += moved
                 steps.append(step)
                 verts.append(nbr)
-                used.add(step)
-                if odd and not over and nbr != verts[0] and nbr not in saturated:
-                    fwd = (tuple(steps), tuple(verts))
-                    if fwd < (fwd[0][::-1], fwd[1][::-1]):
-                        found.append(Hyperwalk(*fwd))
-                if len(steps) < walk_cap:
+                # Steps are distinct, so a walk of two or more steps is
+                # smaller than its reversal exactly when its first step is
+                # smaller than its last.
+                if (odd and not over and nbr != v0 and nbr not in saturated
+                        and (steps[0] < step if len(steps) > 1 else v0 < nbr)):
+                    found.append(Hyperwalk(tuple(steps), tuple(verts)))
+                if descend:
                     extend(nbr, not odd)
                 steps.pop()
                 verts.pop()
-                used.discard(step)
                 row[cur] -= d
                 row[nbr] -= d
                 over -= moved
@@ -318,24 +321,35 @@ def build_conflict_graph(walks) -> list[set[int]]:
 
 
 def apply_hyperwalks(profile: Profile, walks) -> Profile:
-    """Apply vertex-disjoint augmenting hyperwalks; slot-wise union minus removal."""
+    """Apply vertex-disjoint augmenting hyperwalks; slot-wise union minus removal.
+
+    Only the slots the walks touch are rebuilt and re-validated; the others
+    were validated when ``profile`` was built and are carried over.
+    """
     seen: set[int] = set()
     for w in walks:
         wv = set(w.vertices)
         if wv & seen:
             raise AssertionError("hyperwalks passed to apply must be vertex-disjoint")
         seen |= wv
-    matchings = [set(m) for m in profile.matchings]
+    matchings = list(profile.matchings)
+    touched: set[int] = set()
     for w in walks:
         adds: dict[int, set[int]] = {}
         rems: dict[int, set[int]] = {}
         for pos, (e, s) in enumerate(w.steps, start=1):
             (adds if pos % 2 == 1 else rems).setdefault(s, set()).add(e)
         for s, es in adds.items():
-            matchings[s] |= es
+            matchings[s] = matchings[s] | es
         for s, es in rems.items():
-            matchings[s] -= es
-    return Profile(profile.cls, profile.realized, matchings)
+            matchings[s] = matchings[s] - es
+        touched.update(adds, rems)
+    out = Profile.__new__(Profile)
+    out.cls, out.realized, out.matchings = profile.cls, profile.realized, matchings
+    out.cover = list(profile.cover)
+    for s in sorted(touched):
+        out.cover[s] = _slot_cover(profile.cls.graph, s, profile.realized[s], matchings[s])
+    return out
 
 
 @dataclass
@@ -374,6 +388,7 @@ class VimEngine:
         self._ends = {e: g.endpoints(e) for e in self._cedges}
         self._input_tails = [encode_key(("input", e)) for e in self._cedges]
         self._tails: dict[tuple, bytes] = {}
+        self._int_keys = IntKeys()
         self._real_tails: dict[tuple[int, int], list[bytes]] = {}
 
     # -- randomness ---------------------------------------------------------
@@ -465,10 +480,14 @@ class VimEngine:
         slots = [creal]
         for i in range(1, alpha + 1):
             slots.append(self._draw_edges(rand, self._slot_tails(r, i)))
-        matchings = [
-            self._find(r - 1, slots[i], rand.child(self._tail(("rec", r, i))), trace)
-            for i in range(alpha + 1)
-        ]
+        if r == 1:
+            # Level 0 matches nothing and draws nothing, so skip its streams.
+            matchings = [frozenset()] * (alpha + 1)
+        else:
+            matchings = [
+                self._find(r - 1, slots[i], rand.child(self._tail(("rec", r, i))), trace)
+                for i in range(alpha + 1)
+            ]
         profile = Profile(self.cls, slots, matchings)
         saturated = self.saturated_set(r)
         walks = enumerate_augmenting_hyperwalks(profile, saturated, self.params.walk_cap)
@@ -477,11 +496,19 @@ class VimEngine:
                 f"{len(walks)} candidate hyperwalks exceed the cap of "
                 f"{self.params.conflict_cap}; reduce walk_cap or alpha"
             )
-        adj = build_conflict_graph(walks)
-        max_deg = max((len(a) for a in adj), default=0)
-        budget = mis_round_budget(max_deg, self.params.epsilon, self.params.mis_round_factor)
+        members = [w.vertices for w in walks]
+        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon,
+                                  self.params.mis_round_factor)
         self.max_mis_rounds = max(self.max_mis_rounds, budget)
-        walk_tails = [encode_key(w.rand_key()) for w in walks]
+        ik = self._int_keys
+        walk_tails = []
+        for w in walks:
+            # encode_key((v0, e1, s1, e2, s2, ...)) from cached pieces
+            parts = [ik[w.vertices[0]]]
+            for e, s in w.steps:
+                parts.append(ik[e])
+                parts.append(ik[s])
+            walk_tails.append(b"".join(parts))
         round_states: dict[int, RandomStream] = {}
 
         def priority(rnd: int, node: int) -> float:
@@ -490,7 +517,7 @@ class VimEngine:
                 state = round_states[rnd] = rand.child(self._tail(("mis", r, rnd)))
             return state.uniform_at(walk_tails[node], walks[node].vertices)
 
-        result = luby_rounds(adj, budget, priority)
+        result = luby_rounds(members, budget, priority)
         chosen = [walks[i] for i in result.in_set]
         after = apply_hyperwalks(profile, chosen)
         d_before = profile.sum_d()

@@ -12,8 +12,9 @@ from collections import deque
 import numpy as np
 
 from stochmatch.graph import Matching, Realization, StochasticGraph
+from stochmatch.mis import MisResult
 from stochmatch.randomness import RandomStream
-from stochmatch.vim import _canonical_walk, is_augmenting
+from stochmatch.vim import Hyperwalk, is_augmenting
 
 
 def brute_force_mu(n: int, pairs) -> int:
@@ -121,6 +122,13 @@ def stream(seed: int = 1, *key) -> RandomStream:
     return RandomStream(seed, key or ("test",))
 
 
+def canonical_walk(steps, vertices) -> Hyperwalk:
+    """A walk and its reversal are the same object; keep the smaller form."""
+    fwd = (tuple(steps), tuple(vertices))
+    rev = (tuple(reversed(steps)), tuple(reversed(vertices)))
+    return Hyperwalk(*min(fwd, rev))
+
+
 def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
     """Generate-then-validate hyperwalk enumeration, the oracle for the
     incremental search in ``stochmatch.vim``: every taut prefix ending at an
@@ -131,7 +139,7 @@ def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
     found = {}
 
     def consider(steps, verts):
-        walk = _canonical_walk(steps, verts)
+        walk = canonical_walk(steps, verts)
         key = (walk.steps, walk.vertices)
         if key not in found and is_augmenting(profile, walk):
             found[key] = walk
@@ -166,6 +174,39 @@ def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
             continue
         extend(v0, [], [v0], set())
     return sorted(found.values(), key=lambda w: (w.vertices[0], w.steps))
+
+
+def reference_luby_rounds(adjacency, rounds: int, priority) -> MisResult:
+    """Luby rounds over an explicit neighbour list, the oracle for the
+    shared-member rounds of ``stochmatch.mis.luby_rounds``: a node joins when
+    its priority is below every undecided neighbour's, and winners remove
+    their undecided neighbours."""
+    n = len(adjacency)
+    undecided = set(range(n))
+    chosen = []
+    rounds_used = 0
+    for r in range(rounds):
+        if not undecided:
+            break
+        rounds_used = r + 1
+        pri = {v: priority(r, v) for v in undecided}
+        joined = [
+            v
+            for v in sorted(undecided)
+            if all(pri[v] < pri[u] for u in adjacency[v] if u in undecided)
+        ]
+        if not joined:
+            continue
+        removed = set(joined)
+        for v in joined:
+            chosen.append(v)
+            removed.update(u for u in adjacency[v] if u in undecided)
+        undecided -= removed
+    return MisResult(
+        in_set=tuple(sorted(chosen)),
+        undecided=tuple(sorted(undecided)),
+        rounds=rounds_used,
+    )
 
 
 def reference_max_matching(g: StochasticGraph, edge_set=None) -> Matching:

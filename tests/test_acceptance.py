@@ -182,7 +182,7 @@ def test_criterion_06_vim_independence():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.1, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=1500)
-    rep = independence_test(g, cls, params, samples=10_000, seed=21)
+    rep = independence_test(g, cls, VimEngine(cls, params, seed=21), samples=10_000)
     far_ok = bool(rep.far_pairs) and rep.far_ok
     controls_ok = bool(rep.controls) and rep.controls_ok
     worst_cov = max((abs(p["cov"]) for p in rep.far_pairs), default=0.0)

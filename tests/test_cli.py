@@ -10,7 +10,7 @@ from stochmatch.cli import main
 from stochmatch.decomposition import classify, estimate_q, threshold_schedule
 from stochmatch.generators import path
 from stochmatch.harness import independence_test
-from stochmatch.vim import VimParams
+from stochmatch.vim import VimEngine, VimParams
 
 
 def _run(capsys, argv):
@@ -88,13 +88,43 @@ def test_vim_prints_the_independence_report(capsys):
     schedule = threshold_schedule(est.q_hat, est.opt_hat, 0.3, g.p_min)
     cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, 0.3)
     params = VimParams(epsilon=0.3, alpha=2, depth=1, walk_cap=3, gamma_samples=50)
-    report = independence_test(g, cls, params, 20, 0)
+    report = independence_test(g, cls, VimEngine(cls, params, 0), 20)
     assert payload["per_vertex_match_freq"] == report.match_freq
     assert payload["far_pairs"] == report.far_pairs
     assert payload["controls"] == report.controls
     assert payload["notice"] == report.notice
     assert set(payload["size_by_depth"]) == {"0", "1"}
     assert payload["size_by_depth"]["0"] == 0.0
+
+
+def test_vim_rejects_fewer_than_two_runs(capsys):
+    code = main(["vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}',
+                 "--samples", "200", "--alpha", "1", "--depth", "1",
+                 "--gamma-samples", "10", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--runs >= 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_vim_builds_each_gamma_level_once(capsys, monkeypatch):
+    built = []
+    original = VimEngine._build_gamma
+
+    def counting(self, r):
+        built.append(r)
+        return original(self, r)
+
+    monkeypatch.setattr(VimEngine, "_build_gamma", counting)
+    code, out = _run(capsys, [
+        "vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}',
+        "--samples", "2000", "--alpha", "2", "--depth", "2",
+        "--gamma-samples", "30", "--runs", "10",
+    ])
+    assert code == 0
+    assert set(json.loads(out)["size_by_depth"]) == {"0", "1", "2"}
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_certify_output(capsys):

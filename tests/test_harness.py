@@ -24,7 +24,7 @@ from stochmatch.harness import (
     run_pipeline,
 )
 from stochmatch.oracle import exact_stats
-from stochmatch.vim import VimParams
+from stochmatch.vim import VimEngine, VimParams
 
 
 def test_generator_examples():
@@ -115,7 +115,7 @@ def test_independence_two_far_components():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.05, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=150)
-    rep = independence_test(g, cls, params, samples=3000, seed=6)
+    rep = independence_test(g, cls, VimEngine(cls, params, seed=6), samples=3000)
     assert rep.far_pairs, "cross-component pairs must qualify"
     assert rep.far_ok
     assert rep.controls_ok
@@ -126,7 +126,7 @@ def test_independence_no_pairs_notice():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.05, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=1, depth=1, gamma_samples=50)
-    rep = independence_test(g, cls, params, samples=200, seed=0)
+    rep = independence_test(g, cls, VimEngine(cls, params, seed=0), samples=200)
     assert rep.notice is not None
 
 
@@ -204,7 +204,6 @@ def test_certificate_crucial_mass_tracks_z():
     # Mean x over crucial edges stays within (1 - eps) of the mean matching
     # size, three sigma, because crucial edges are in Q with high probability.
     from stochmatch.harness import run_certificate_batch
-    from stochmatch.vim import VimEngine, VimParams
 
     g = StochasticGraph(4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.9)])
     stats = exact_stats(g)

@@ -1,8 +1,21 @@
 """Round-limited randomized independent set."""
 
-import numpy as np
+import hashlib
 
-from stochmatch.mis import apx_mis, greedy_complete, mis_round_budget
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochmatch.mis import (
+    apx_mis,
+    greedy_complete,
+    luby_rounds,
+    max_conflict_degree,
+    mis_round_budget,
+)
+
+from helpers import reference_luby_rounds
 
 
 def _star_adj(leaves):
@@ -84,3 +97,85 @@ def test_deterministic_given_seed():
     a = apx_mis(adj, epsilon=0.2, seed=123)
     b = apx_mis(adj, epsilon=0.2, seed=123)
     assert a.in_set == b.in_set
+
+
+def _shared_member_adjacency(members):
+    """Explicit conflict graph of member collections, built like
+    ``build_conflict_graph``: neighbours share a member."""
+    by_member = {}
+    for i, mems in enumerate(members):
+        for m in mems:
+            by_member.setdefault(m, set()).add(i)
+    adj = []
+    for i, mems in enumerate(members):
+        nbrs = set().union(*(by_member[m] for m in mems))
+        nbrs.discard(i)
+        adj.append(nbrs)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=14),
+    levels=st.integers(1, 4),
+    rounds=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_luby_rounds_equals_the_neighbour_rule(members, levels, rounds, seed):
+    # Priorities take only ``levels`` values, so ties are common; budgets of
+    # 1-3 rounds leave nodes undecided.
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, levels, size=(rounds, len(members)))
+
+    def priority(r, v):
+        return int(table[r, v])
+
+    adj = _shared_member_adjacency(members)
+    assert luby_rounds(members, rounds, priority) == reference_luby_rounds(adj, rounds, priority)
+    assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
+
+
+def test_luby_rounds_tie_at_a_shared_member_blocks_both():
+    # Nodes 0 and 1 tie at member "a"; node 2 is alone.  Neither tied node
+    # may join, however often the round repeats.
+    members = [("a",), ("a", "b"), ("c",)]
+    res = luby_rounds(members, 2, lambda r, v: 0.0 if v < 2 else 0.5)
+    assert res == reference_luby_rounds(_shared_member_adjacency(members), 2,
+                                        lambda r, v: 0.0 if v < 2 else 0.5)
+    assert res.in_set == (2,) and res.undecided == (0, 1) and res.rounds == 2
+
+
+def test_luby_rounds_repeated_member_is_one_member():
+    # A node listing a member twice still joins as the strict minimum there.
+    res = luby_rounds([(1, 1, 2), (2, 3)], 1, lambda r, v: [0.1, 0.2][v])
+    assert res.in_set == (0,) and res.undecided == ()
+
+
+def test_apx_mis_rejects_asymmetric_or_looped_adjacency():
+    with pytest.raises(ValueError, match="symmetric"):
+        apx_mis([{1}, set()], epsilon=0.2, seed=0)
+    with pytest.raises(ValueError, match="own neighbour"):
+        apx_mis([{0, 1}, {0}], epsilon=0.2, seed=0)
+
+
+def test_apx_mis_results_pinned():
+    # sha256 of (in_set, undecided, rounds) on criterion 13's graphs for 20
+    # seeds, recorded with the neighbour-list rounds: a change of the rule,
+    # the round budget or the priorities moves it.
+    cases = {
+        "star20": (_star_adj(20),
+                   "71c2557569ffcf8df8138d72922355f03e35dc2020584e14943b54490faca0a8"),
+        "star32": (_star_adj(32),
+                   "d2c85bdcf38d60e7259c3c2e31ac18a39615c3fde96b6d110d749e7eb7eb3a8b"),
+        "random60": (_random_adj(60, 10, seed=4),
+                     "21fddeb1147c036b3b33896acbf113f0cefd39d54d10a51718dff1d0266ddd46"),
+        "random80": (_random_adj(80, 16, seed=9),
+                     "74d5b0c18f16a1cae929e70cceaf65c2b7ec711518210ce0cc315dca6c1cad99"),
+    }
+    for name, (adj, digest) in cases.items():
+        h = hashlib.sha256()
+        for seed in range(20):
+            res = apx_mis(adj, epsilon=0.1, seed=seed)
+            h.update(repr((res.in_set, res.undecided, res.rounds)).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == digest, name

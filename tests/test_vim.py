@@ -1,12 +1,16 @@
 """Augmenting hyperwalks and the recursive matching construction."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmatch.decomposition import classify
+from stochmatch.generators import erdos_renyi
 from stochmatch.graph import StochasticGraph
 from stochmatch.oracle import exact_stats
 from stochmatch.vim import (
@@ -20,7 +24,9 @@ from stochmatch.vim import (
     is_augmenting,
     locality_bound,
 )
+from stochmatch import vim
 from stochmatch.errors import ParameterOverflowError
+from stochmatch.mis import max_conflict_degree
 
 from helpers import path_graph, reference_augmenting_hyperwalks, two_single_edges
 
@@ -180,6 +186,15 @@ def test_conflict_graph_hub_clique():
         assert adj[i] == set(range(4)) - {i}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=4), max_size=16))
+def test_max_conflict_degree_equals_the_conflict_graph(vertex_lists):
+    walks = [Hyperwalk(tuple((i, 0) for i in range(len(vs) - 1)), tuple(vs))
+             for vs in vertex_lists]
+    want = max((len(a) for a in build_conflict_graph(walks)), default=0)
+    assert max_conflict_degree([w.vertices for w in walks]) == want
+
+
 def test_apply_empty_keeps_profile():
     cls = single_edge_cls()
     prof = Profile(cls, [{0}], [set()])
@@ -205,6 +220,35 @@ def test_apply_rejects_overlapping_walks():
     w2 = Hyperwalk(((1, 0),), (1, 2))
     with pytest.raises(AssertionError, match="disjoint"):
         apply_hyperwalks(prof, [w1, w2])
+
+
+def _two_slot_profile():
+    # Path 0 -(e0)- 1 -(e1)- 2.  Slot 0 realizes e0 only and matches
+    # nothing; slot 1 realizes both edges and matches e1.
+    g = path_graph(2, 1.0)
+    return Profile(mechanics_cls(g), [{0}, {0, 1}], [set(), {1}])
+
+
+def test_apply_refuses_an_unrealized_edge_in_a_touched_slot():
+    prof = _two_slot_profile()
+    with pytest.raises(AssertionError, match="slot 0: matching contains unrealized"):
+        apply_hyperwalks(prof, [Hyperwalk(((1, 0),), (1, 2))])
+
+
+def test_apply_refuses_two_edges_at_one_vertex_in_a_touched_slot():
+    prof = _two_slot_profile()
+    with pytest.raises(AssertionError, match="slot 1: edges are not a matching"):
+        apply_hyperwalks(prof, [Hyperwalk(((0, 1),), (0, 1))])
+
+
+def test_apply_carries_untouched_slots_over():
+    prof = _two_slot_profile()
+    after = apply_hyperwalks(prof, [Hyperwalk(((0, 0),), (0, 1))])
+    assert after.matchings == [frozenset({0}), frozenset({1})]
+    assert after.cover[0] == {0: 0, 1: 0}
+    assert after.cover[1] is prof.cover[1]
+    assert after.realized == prof.realized
+    assert prof.matchings[0] == frozenset() and prof.cover[0] == {}
 
 
 # -- the recursive construction ----------------------------------------------
@@ -400,7 +444,7 @@ def test_enumeration_is_exactly_the_taut_subset():
     # return exactly the taut walks, every decorated augmenting walk must
     # conflict with some taut walk, and must have a taut walk with the same
     # application effect.
-    from stochmatch.vim import _canonical_walk, apply_hyperwalks
+    from helpers import canonical_walk
 
     rng = np.random.default_rng(7)
 
@@ -431,7 +475,7 @@ def test_enumeration_is_exactly_the_taut_subset():
 
         def extend(cur, steps, verts):
             if len(steps) % 2 == 1:
-                w = _canonical_walk(tuple(steps), tuple(verts))
+                w = canonical_walk(tuple(steps), tuple(verts))
                 key = (w.steps, w.vertices)
                 if key not in out:
                     v0, vk = w.endpoints
@@ -554,3 +598,60 @@ def test_trace_records_undecided_mis_nodes():
             assert entry.selected + entry.mis_undecided <= entry.candidates
             undecided += entry.mis_undecided
     assert undecided > 0
+
+
+def _trace_digest(engine, runs, tag, monkeypatch):
+    """sha256 of each run's matching and LevelTraces, the conflict degree
+    each node passed to the round budget, and ``engine.max_mis_rounds``."""
+    degrees = []
+    budget = vim.mis_round_budget
+
+    def recording(max_degree, *args):
+        degrees.append(max_degree)
+        return budget(max_degree, *args)
+
+    monkeypatch.setattr(vim, "mis_round_budget", recording)
+    parts = []
+    for s in range(runs):
+        key = (tag, s)
+        trace = []
+        z = engine.run(engine.params.depth, engine.input_realization(key), key=key,
+                       trace=trace)
+        parts.append((sorted(z), [dataclasses.astuple(t) for t in trace]))
+    parts.append(degrees)
+    parts.append(engine.max_mis_rounds)
+    return _sha_lines(parts)
+
+
+def _er10_all_crucial():
+    g = erdos_renyi(10, 0.3, (0.3, 0.9), seed=5)
+    assert g.m == 13
+    return all_crucial(g)
+
+
+@pytest.mark.parametrize("case", ["path3", "er10", "er10_one_round"])
+def test_level_traces_pinned(case, monkeypatch):
+    # Every LevelTrace (candidates, selected, MIS rounds and undecided nodes,
+    # slot sizes), every node's conflict degree and the largest round budget,
+    # recorded with the explicit conflict graph: a change of the degree, the
+    # budget or the rounds moves them even where the matchings stay.
+    # er10_one_round leaves MIS nodes undecided.
+    if case == "path3":
+        g = StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        cls = classify(g, exact_stats(g).q, 0.1, 0.2, epsilon=0.3)
+        engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300),
+                           seed=13)
+        runs, tag = 50, "bench"
+        want = "5dae01b049d1b020be6228becc001c9ccccf86389cf5735520597f4f29839dae", 38
+    elif case == "er10":
+        engine = VimEngine(_er10_all_crucial(),
+                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)
+        runs, tag = 30, "pin"
+        want = "fcbb4a58cf37c6f76c62c530f1a93929053fd225f53742d0a2d270bd88c858b9", 35
+    else:
+        engine = VimEngine(_er10_all_crucial(),
+                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40,
+                                     mis_round_factor=0.05), seed=5)
+        runs, tag = 30, "pin"
+        want = "12bd4f3c9c0a936145a56743f7c93ba9b30069fa4a445629521625fc3f9855ba", 1
+    assert (_trace_digest(engine, runs, tag, monkeypatch), engine.max_mis_rounds) == want
