@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterOverflowError
 from .graph import Realization, StochasticGraph
-from .matching import max_matching
+from .matching import matched_by_mask, max_matching
 from .randomness import as_stream
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _SAMPLE_BLOCK = 8192
-_MASK_LIMIT = 62  # bitmask memoization needs edge count to fit an int64
 _LAMBDA_CAP = 10**6  # largest paper-scale lambda classify accepts
 
 CRUCIAL = "crucial"
@@ -87,8 +86,10 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
 
     Samples are drawn in fixed-size blocks keyed by block index, so sample i
     is addressable as (block i // B, row i % B) independent of the total.
-    On small graphs the matching per distinct realization bitmask is computed
-    once and reused.
+    Only the rows used are drawn: the block's stream is counter-based and
+    fills rows in order, so a draw of k rows is the first k rows of the full
+    block.  On small graphs each distinct realization bitmask is matched
+    once per graph, through the graph's ``mask_table``.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -97,24 +98,19 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
     counts = np.zeros(m, dtype=np.int64)
     sum_mu = 0
     sum_mu_sq = 0
-    memo: dict[int, tuple[int, ...]] | None = {} if m <= _MASK_LIMIT else None
-    pow2 = (np.uint64(1) << np.arange(m, dtype=np.uint64)) if memo is not None else None
+    by_mask = g.mask_table is not None
+    pow2 = (np.uint64(1) << np.arange(m, dtype=np.uint64)) if by_mask else None
 
     done = 0
     block_index = 0
     while done < samples:
         take = min(_SAMPLE_BLOCK, samples - done)
-        u = stream.child("block", block_index).uniforms((_SAMPLE_BLOCK, m))[:take]
-        present = u < g.ps
-        if memo is not None:
+        present = stream.child("block", block_index).uniforms((take, m)) < g.ps
+        if by_mask:
             masks = (present.astype(np.uint64) * pow2).sum(axis=1, dtype=np.uint64)
             uniq, cnt = np.unique(masks, return_counts=True)
             for mask, c in zip(uniq.tolist(), cnt.tolist()):
-                matched = memo.get(mask)
-                if matched is None:
-                    ids = [e for e in range(m) if mask >> e & 1]
-                    matched = tuple(max_matching(g, ids).edges)
-                    memo[mask] = matched
+                matched = matched_by_mask(g, mask)
                 k = len(matched)
                 sum_mu += k * c
                 sum_mu_sq += k * k * c

@@ -16,11 +16,14 @@ from .randomness import RandomStream
 
 __all__ = ["StochasticGraph", "Realization", "Matching", "sample_realization"]
 
+_MASK_LIMIT = 62  # a realization bitmask must fit an int64
+
 
 class StochasticGraph:
     """Simple undirected graph where edge ``e`` realizes with probability ``p_e``."""
 
-    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_incident")
+    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_incident",
+                 "_masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -50,6 +53,7 @@ class StochasticGraph:
         self._adj = None
         self._half_edges = None
         self._incident = None
+        self._masks = None
 
     def endpoints(self, e: int) -> tuple[int, int]:
         edge = self.edges[e]
@@ -85,6 +89,21 @@ class StochasticGraph:
                 inc[w].append(e)
             self._incident = inc
         return self._incident[v]
+
+    @property
+    def mask_table(self) -> dict[int, tuple[int, ...]] | None:
+        """Matched edge ids by realization bitmask (bit e set = edge e present),
+        or None for graphs of more than ``_MASK_LIMIT`` edges.
+
+        The table is created empty on first use and holds only masks that
+        were actually matched (``matching.matched_by_mask`` fills it), so it
+        grows with the distinct realizations seen, up to 2^m entries.  The
+        Monte Carlo estimator and the exact oracle share it, so each mask is
+        matched once per graph.
+        """
+        if self._masks is None and self.m <= _MASK_LIMIT:
+            self._masks = {}
+        return self._masks
 
     def degrees(self, edge_ids=None) -> np.ndarray:
         """Per-vertex count of the given edges (all edges when None)."""
@@ -198,6 +217,17 @@ class Matching:
         self.graph = graph
         self.edges = edges
         self.matched_vertex = matched
+
+    @classmethod
+    def _from_pairs(cls, graph: StochasticGraph, edge_ids, matched_vertex: dict) -> "Matching":
+        """A matching built without the checks of ``__init__``, for callers
+        whose ``matched_vertex`` pairs the endpoints of ``edge_ids`` and is
+        vertex-disjoint by construction."""
+        out = cls.__new__(cls)
+        out.graph = graph
+        out.edges = frozenset(edge_ids)
+        out.matched_vertex = matched_vertex
+        return out
 
     def __len__(self):
         return len(self.edges)

@@ -639,8 +639,12 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     ]
     add_check("x_v_expectation", "pass" if not x_v_over else "fail", vertices_over=x_v_over)
 
-    freport = run_f_property_batch(g, classification, R, min(config.cert_runs, 40),
-                                   config.seed)
+    freport = timer.run(
+        "f_properties",
+        lambda: run_f_property_batch(
+            g, classification, R, min(config.cert_runs, 40), config.seed
+        ),
+    )
     add_check("f_vertex_sums", "pass" if freport.vertex_sum_ok else "fail")
     add_check(
         "f_edge_bounds",

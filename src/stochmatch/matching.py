@@ -27,6 +27,14 @@ the scan would relabel are exactly the union of the members of the bases
 the two path walks marked.  That union is sorted before relabeling and
 pushing, so the frontier receives the same vertices in the same ascending
 order as the scan, at a cost proportional to the blossom instead of to n.
+
+Result.  The ``Matching`` is built from the ``match`` list, which is an
+involution: each matched pair is listed once from its lower vertex, and its
+edge id comes from a bisect in ``adjacency``.  The pairs are vertex-disjoint
+by construction, so the result skips the public constructor's re-validation.
+
+Small graphs.  ``matched_by_mask`` answers from the graph's ``mask_table``,
+matching a realization bitmask only the first time it is seen.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from bisect import bisect_left
 
 from .graph import Matching, Realization, StochasticGraph
 
-__all__ = ["max_matching", "mu"]
+__all__ = ["max_matching", "matched_by_mask", "mu"]
 
 
 def _presence(g: StochasticGraph, edge_set):
@@ -71,17 +79,36 @@ def max_matching(g: StochasticGraph, edge_set=None) -> Matching:
     match = _blossom(g.n, verts, adj)
     rows = g.adjacency
     out = []
+    partner = {}
     for v in verts:
         u = match[v]
         if u > v:
             row = rows[v]
             out.append(row[bisect_left(row, (u,))][1])
-    return Matching(g, out)
+            partner[v] = u
+            partner[u] = v
+    # ``match`` is an involution (match[match[v]] == v for every matched v),
+    # so the pairs it lists are vertex-disjoint by construction.
+    return Matching._from_pairs(g, out, partner)
 
 
 def mu(g: StochasticGraph, edge_set=None) -> int:
     """Maximum matching size of the given edge subset."""
     return len(max_matching(g, edge_set))
+
+
+def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
+    """Ascending matched edge ids of the realization whose bit e says whether
+    edge e is present, looked up in ``g.mask_table`` and matched on a miss.
+
+    Only for graphs with a mask table (at most ``graph._MASK_LIMIT`` edges).
+    """
+    table = g.mask_table
+    matched = table.get(mask)
+    if matched is None:
+        ids = [e for e in range(g.m) if mask >> e & 1]
+        matched = table[mask] = tuple(sorted(max_matching(g, ids).edges))
+    return matched
 
 
 def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:

@@ -2,8 +2,11 @@
 
 Enumerates all 2^m realizations in binary counting order over edge indices,
 weighting each by its probability, and runs the same deterministic maximum
-matching used everywhere else.  Sums are Kahan-compensated; "exact" means
-exact to double precision, since the input probabilities are decimals.
+matching used everywhere else.  Matchings come from the graph's shared
+``mask_table``, so a mask that ``estimate_q`` already matched on the same
+graph is looked up, not matched again, and the masks the oracle matches are
+kept there too.  Sums are Kahan-compensated; "exact" means exact to double
+precision, since the input probabilities are decimals.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError
 from .graph import StochasticGraph
-from .matching import max_matching
+from .matching import matched_by_mask
 
 __all__ = ["ExactStats", "CrucialSplit", "exact_stats", "exact_crucial_split"]
 
@@ -76,8 +79,7 @@ def exact_stats(g: StochasticGraph, cap: int = DEFAULT_EDGE_CAP) -> ExactStats:
     opt_acc = _Kahan()
     q_acc = _Kahan(m)
     for mask in range(1 << m):
-        ids = [e for e in range(m) if mask >> e & 1]
-        matched = max_matching(g, ids).edges
+        matched = matched_by_mask(g, mask)
         p = float(probs[mask])
         opt_acc.add(p * len(matched))
         for e in matched:

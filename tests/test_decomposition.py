@@ -16,8 +16,10 @@ from stochmatch.decomposition import (
     threshold_schedule,
 )
 from stochmatch.errors import ParameterOverflowError
-from stochmatch.graph import StochasticGraph
+from stochmatch.graph import _MASK_LIMIT, Realization, StochasticGraph
+from stochmatch.matching import max_matching
 from stochmatch.oracle import exact_crucial_split, exact_stats
+from stochmatch.randomness import RandomStream
 
 from helpers import clique_graph, path2, small_corpus
 
@@ -57,6 +59,92 @@ def test_estimate_reproducible():
     a = estimate_q(g, samples=5000, seed=11)
     b = estimate_q(g, samples=5000, seed=11)
     assert np.array_equal(a.counts, b.counts)
+
+
+# -- row-prefix draws and the per-graph mask table --------------------------------
+
+
+def _graph_with_edges(m, n=16, seed=0):
+    """Graph with exactly ``m`` edges on ``n`` vertices, p in [0.2, 0.8]."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = sorted(rng.choice(len(pairs), size=m, replace=False))
+    return StochasticGraph(n, [(*pairs[i], float(rng.uniform(0.2, 0.8))) for i in picked])
+
+
+def _estimate_q_full_blocks(g, samples, seed):
+    """estimate_q before row-prefix draws: every 8192-row block drawn in full
+    and sliced to the rows used, and each sampled realization matched."""
+    stream = RandomStream(seed, ("qest",))
+    counts = np.zeros(g.m, dtype=np.int64)
+    sum_mu = sum_mu_sq = 0
+    done = block = 0
+    while done < samples:
+        take = min(8192, samples - done)
+        u = stream.child("block", block).uniforms((8192, g.m))[:take]
+        for row in u < g.ps:
+            matched = max_matching(g, Realization(g, row)).edges
+            sum_mu += len(matched)
+            sum_mu_sq += len(matched) ** 2
+            for e in matched:
+                counts[e] += 1
+        done += take
+        block += 1
+    return counts, sum_mu, sum_mu_sq
+
+
+@pytest.mark.parametrize("m", [14, _MASK_LIMIT + 1])
+@pytest.mark.parametrize("samples", [50, 8192, 8193, 20_000])
+def test_estimate_q_pinned_to_full_block_draws(samples, m):
+    g = _graph_with_edges(m)
+    counts, sum_mu, sum_mu_sq = _estimate_q_full_blocks(g, samples, seed=9)
+    est = estimate_q(g, samples, seed=9)
+    assert est.counts.tolist() == counts.tolist()
+    assert (est.sum_mu, est.sum_mu_sq) == (sum_mu, sum_mu_sq)
+
+
+def _assert_same_estimate(a, b):
+    assert a.counts.tolist() == b.counts.tolist()
+    assert (a.samples, a.sum_mu, a.sum_mu_sq) == (b.samples, b.sum_mu, b.sum_mu_sq)
+
+
+def test_estimate_q_same_on_cold_and_warm_mask_table():
+    g = _graph_with_edges(14, n=12)
+    cold = estimate_q(g, 3000, seed=5)
+    estimate_q(g, 3000, seed=6)
+    _assert_same_estimate(estimate_q(g, 3000, seed=5), cold)
+    exact_stats(g)  # every mask is in the table now
+    assert len(g.mask_table) == 2**g.m
+    _assert_same_estimate(estimate_q(g, 3000, seed=5), cold)
+
+
+def test_oracle_after_estimate_q_equals_oracle_on_a_fresh_graph():
+    g = _graph_with_edges(14, n=12)
+    estimate_q(g, 2000, seed=0)
+    assert 0 < len(g.mask_table) < 2**g.m
+    warm = exact_stats(g)
+    cold = exact_stats(StochasticGraph(g.n, g.edges))
+    assert warm.opt == cold.opt
+    assert warm.q.tobytes() == cold.q.tobytes()
+    assert warm.matched_prob.tobytes() == cold.matched_prob.tobytes()
+
+
+def test_mask_table_holds_only_the_masks_matched():
+    g = _graph_with_edges(_MASK_LIMIT)
+    assert g.mask_table == {}
+    estimate_q(g, 300, seed=4)
+    present = RandomStream(4, ("qest",)).child("block", 0).uniforms((300, g.m)) < g.ps
+    sampled = {sum(1 << int(e) for e in np.flatnonzero(row)) for row in present}
+    assert set(g.mask_table) == sampled
+    for mask, matched in g.mask_table.items():
+        ids = [e for e in range(g.m) if mask >> e & 1]
+        assert matched == tuple(sorted(max_matching(g, ids).edges))
+
+
+def test_no_mask_table_above_the_limit():
+    g = _graph_with_edges(_MASK_LIMIT + 1)
+    estimate_q(g, 20, seed=0)
+    assert g.mask_table is None
 
 
 def test_schedule_explicit_levels_example():

@@ -170,6 +170,17 @@ def test_pipeline_reproducible_fingerprint():
     assert c.fingerprint() != a.fingerprint()
 
 
+def test_pipeline_times_every_stage():
+    config = _small_config(q_samples=500, vim_runs=10, cert_runs=5, gamma_samples=20,
+                           ratio_outer=2, ratio_inner=3, ratio_denom=20)
+    report = run_pipeline(config)
+    assert list(report.timings) == [
+        "graph", "estimate_q", "oracle", "schedule", "classify", "build_q",
+        "vim", "certificate", "f_properties", "ratio",
+    ]
+    assert "timings" not in report.to_json(include_timings=False)
+
+
 def test_pipeline_paper_mode_refuses():
     from stochmatch.errors import ParameterOverflowError
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch.generators import erdos_renyi
-from stochmatch.graph import Realization, StochasticGraph, sample_realization
+from stochmatch.graph import Matching, Realization, StochasticGraph, sample_realization
 from stochmatch.matching import max_matching, mu
 from stochmatch.randomness import RandomStream
 
@@ -234,3 +234,63 @@ def test_realization_of_another_graph_rejected():
     with pytest.raises(ValueError, match="different graph"):
         max_matching(g, real)
     assert max_matching(twin, real).edges == frozenset({0})
+
+
+# -- results built from the blossom's partner list ------------------------------
+
+
+def _networkx_corpus():
+    """The graphs of ``test_blossom_agrees_with_networkx_at_scale``."""
+    rng = np.random.default_rng(123)
+    for _ in range(40):
+        n = int(rng.integers(4, 45))
+        density = rng.uniform(0.05, 0.5)
+        edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density]
+        if edges:
+            yield StochasticGraph(n, edges)
+
+
+def _reference_corpus():
+    """(graph, edge set) pairs over the fixed families and the workload
+    realizations of the differential tests against ``reference_max_matching``."""
+    families = [petersen()] + [clique_graph(n) for n in range(2, 11)]
+    rng = np.random.default_rng(99)
+    families += [_odd_cycle_with_chords(k, rng) for k in (3, 5, 7, 9, 11, 13, 15, 21)
+                 for _ in range(4)]
+    for g in families:
+        sub = np.random.default_rng(g.m)
+        yield g, None
+        for _ in range(8):
+            yield g, Realization(g, sub.random(g.m) < sub.uniform(0.3, 0.9))
+    g = erdos_renyi(300, 0.03, (0.2, 0.8), seed=7)
+    stream = RandomStream(7, ("reference-diff",))
+    for i in range(20):
+        yield g, sample_realization(g, stream.child(i))
+
+
+def _assert_equals_checked_construction(g, result):
+    checked = Matching(g, result.edges)
+    assert checked == result
+    assert checked.matched_vertex == result.matched_vertex
+    assert len(result.matched_vertex) == 2 * len(result)
+
+
+def test_blossom_results_equal_the_checked_constructor():
+    for g, edge_set in _reference_corpus():
+        result = max_matching(g, edge_set)
+        assert result.edges == reference_max_matching(g, edge_set).edges
+        _assert_equals_checked_construction(g, result)
+    for g in _networkx_corpus():
+        _assert_equals_checked_construction(g, max_matching(g))
+
+
+def test_public_constructor_still_rejects_vertex_reuse():
+    g = path2()
+    with pytest.raises(ValueError, match="vertex reuse"):
+        Matching(g, [0, 1])
+    g = clique_graph(4)
+    perfect = max_matching(g).edges
+    extra = next(e for e in range(g.m) if e not in perfect)
+    with pytest.raises(ValueError, match="vertex reuse"):
+        Matching(g, perfect | {extra})

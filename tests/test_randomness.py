@@ -129,3 +129,15 @@ def test_bool_key_parts_rejected():
         RandomStream(0, ("x",)).uniform_at((True,))
     with pytest.raises(TypeError, match="bool"):
         RandomStream(0, ("x", np.bool_(True))).uniforms(1)
+
+
+@pytest.mark.parametrize("m", [14, 63])  # both sides of the 62-edge mask limit
+@pytest.mark.parametrize("k", [1, 50, 8191, 8192])
+def test_row_draw_is_a_prefix_of_the_full_block(k, m):
+    # The old estimate_q form, a full 8192-row block sliced to k rows, is the
+    # oracle for drawing only the k rows used.
+    def block():
+        return RandomStream(5, ("qest",)).child("block", 1)
+
+    full = block().uniforms((8192, m))[:k]
+    assert np.array_equal(block().uniforms((k, m)), full)
