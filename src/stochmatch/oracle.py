@@ -19,7 +19,7 @@ from .errors import InstanceTooLargeError
 from .graph import StochasticGraph
 from .matching import matched_by_mask
 
-__all__ = ["ExactStats", "CrucialSplit", "exact_stats", "exact_crucial_split"]
+__all__ = ["ExactStats", "exact_stats"]
 
 DEFAULT_EDGE_CAP = 20
 
@@ -91,46 +91,3 @@ def exact_stats(g: StochasticGraph, cap: int = DEFAULT_EDGE_CAP) -> ExactStats:
         matched_prob[u] += q[e]
         matched_prob[v] += q[e]
     return ExactStats(graph=g, opt=float(opt_acc.total), q=q, matched_prob=matched_prob)
-
-
-@dataclass
-class CrucialSplit:
-    """Edge sets and per-vertex crucial/non-crucial matched mass at exact q."""
-
-    crucial: tuple[int, ...]
-    noncrucial: tuple[int, ...]
-    ignored: tuple[int, ...]
-    c_v: np.ndarray
-    n_v: np.ndarray
-
-
-def exact_crucial_split(stats: ExactStats, tau_minus: float, tau_plus: float) -> CrucialSplit:
-    """Split edges by thresholds: crucial q >= tau_plus, non-crucial q <= tau_minus."""
-    if not (0.0 < tau_minus < tau_plus < 1.0):
-        raise ValueError(
-            f"thresholds must satisfy 0 < tau_minus < tau_plus < 1, got ({tau_minus}, {tau_plus})"
-        )
-    g = stats.graph
-    crucial, noncrucial, ignored = [], [], []
-    c_v = np.zeros(g.n)
-    n_v = np.zeros(g.n)
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        qe = stats.q[e]
-        if qe >= tau_plus:
-            crucial.append(e)
-            c_v[u] += qe
-            c_v[v] += qe
-        elif qe <= tau_minus:
-            noncrucial.append(e)
-            n_v[u] += qe
-            n_v[v] += qe
-        else:
-            ignored.append(e)
-    return CrucialSplit(
-        crucial=tuple(crucial),
-        noncrucial=tuple(noncrucial),
-        ignored=tuple(ignored),
-        c_v=c_v,
-        n_v=n_v,
-    )

@@ -15,7 +15,10 @@ oracle).  Applying the chosen walks rebuilds only the slots they touch.
 
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
-against its crucial matched mass minus a fixed slack.
+against its crucial matched mass minus a fixed slack.  That table, like
+every other statistic over sampled runs, is built by
+``VimEngine.matched_indicators``, the one loop that draws keyed runs and
+marks their matched vertices.
 
 Every random draw is addressed by (recursion path, object id), and each
 address carries the set of vertices it concerns.  That makes the output at a
@@ -434,16 +437,7 @@ class VimEngine:
             self._gamma_se[0] = np.zeros(n)
             return
         samples = self.params.gamma_samples
-        counts = np.zeros(n)
-        for s in range(samples):
-            key = ("gamma", r, s)
-            creal = self.input_realization(key)
-            z = self._find(r, creal, self.rand.child(*key), None)
-            for e in z:
-                u, v = self._ends[e]
-                counts[u] += 1
-                counts[v] += 1
-        gam = counts / samples
+        gam = self.matched_indicators(("gamma", r), samples, r).mean(axis=0)
         self._gamma[r] = gam
         self._gamma_se[r] = np.sqrt(gam * (1.0 - gam) / samples)
 
@@ -462,6 +456,16 @@ class VimEngine:
         return self._saturated[r]
 
     # -- the construction ----------------------------------------------------
+
+    def matched_indicators(self, prefix: tuple, runs: int, depth: int) -> np.ndarray:
+        """``runs`` x n booleans; row s marks the vertices matched by the run
+        at key ``prefix + (s,)`` on the input realization drawn at that key."""
+        X = np.zeros((runs, self.cls.graph.n), dtype=bool)
+        for s in range(runs):
+            key = prefix + (s,)
+            z = self.run(depth, self.input_realization(key), key)
+            X[s, [v for e in z for v in self._ends[e]]] = True
+        return X
 
     def run(self, depth: int, crealization, key: tuple = ("run",),
             trace: list | None = None) -> frozenset[int]:

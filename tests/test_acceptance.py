@@ -144,15 +144,7 @@ def _property2_case(g, tau_minus, tau_plus, seed, runs=10_000):
     # Property 2's induction needs (alpha + 1) >= 1/eps^2; 12 > 11.1 qualifies.
     params = VimParams(epsilon=eps, alpha=11, depth=2, gamma_samples=2000)
     engine = VimEngine(cls, params, seed=seed)
-    hits = np.zeros(g.n)
-    for s in range(runs):
-        creal = engine.input_realization(("acc5", s))
-        z = engine.run(2, creal, key=("acc5", s))
-        for e in z:
-            u, v = g.endpoints(e)
-            hits[u] += 1
-            hits[v] += 1
-    freq = hits / runs
+    freq = engine.matched_indicators(("acc5",), runs, 2).mean(axis=0)
     cap = np.maximum(cls.c_v - eps**2, 0.0)
     se = 3.0 * np.sqrt(freq * (1.0 - freq) / runs)
     gamma_ci = params.gamma_ci_factor * engine.gamma_se(params.depth - 1)

@@ -18,7 +18,7 @@ from stochmatch.decomposition import (
 from stochmatch.errors import ParameterOverflowError
 from stochmatch.graph import _MASK_LIMIT, Realization, StochasticGraph
 from stochmatch.matching import max_matching
-from stochmatch.oracle import exact_crucial_split, exact_stats
+from stochmatch.oracle import exact_stats
 from stochmatch.randomness import RandomStream
 
 from helpers import clique_graph, path2, small_corpus
@@ -239,11 +239,11 @@ def test_classify_matches_oracle_split():
     g = path2()
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.3, tau_plus=0.4, epsilon=0.3)
-    split = exact_crucial_split(stats, 0.3, 0.4)
-    assert cls.crucial_edges == split.crucial
-    assert cls.noncrucial_edges == split.noncrucial
-    assert np.allclose(cls.c_v, split.c_v)
-    assert np.allclose(cls.n_v, split.n_v)
+    # Exact q = (0.5, 0.25) on the path 0-1-2, split by hand.
+    assert cls.crucial_edges == (0,)
+    assert cls.noncrucial_edges == (1,)
+    assert np.allclose(cls.c_v, [0.5, 0.5, 0.0])
+    assert np.allclose(cls.n_v, [0.0, 0.25, 0.25])
 
 
 def test_classify_tie_conventions():

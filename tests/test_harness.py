@@ -24,6 +24,7 @@ from stochmatch.harness import (
     run_pipeline,
 )
 from stochmatch.oracle import exact_stats
+from stochmatch import vim
 from stochmatch.vim import VimEngine, VimParams
 
 
@@ -256,3 +257,20 @@ def test_pipeline_fingerprints_pinned(config, m, fingerprint):
     assert report.stages["graph"]["m"] == m
     assert not report.failed_checks
     assert report.fingerprint() == fingerprint
+
+
+def test_broken_counting_identity_aborts(monkeypatch):
+    # The pipeline reports vim_counting_identity as "pass" without re-checking
+    # traces, because every VIM node raises before returning a matching whose
+    # identity fails; an apply that adds nothing must therefore abort the run.
+    monkeypatch.setattr(vim, "apply_hyperwalks", lambda profile, walks: profile)
+    g = path(3, 0.5)
+    cls = classify(g, exact_stats(g).q, 0.1, 0.2, epsilon=0.3)
+    engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300),
+                       seed=13)
+    with pytest.raises(AssertionError, match="counting identity"):
+        engine.run(2, engine.input_realization(("broken", 0)), key=("broken", 0))
+    report = None
+    with pytest.raises(AssertionError, match="counting identity"):
+        report = run_pipeline(ExperimentConfig(**PINNED_PIPELINES[0][0]))
+    assert report is None

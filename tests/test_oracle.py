@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from stochmatch.decomposition import classify
 from stochmatch.errors import InstanceTooLargeError
 from stochmatch.graph import StochasticGraph
-from stochmatch.oracle import exact_crucial_split, exact_stats
+from stochmatch.oracle import exact_stats
 
 from helpers import brute_force_opt, path2, small_corpus, two_single_edges
 
@@ -59,42 +60,42 @@ def test_cap_enforced():
 
 
 def test_crucial_split_path2():
-    s = exact_stats(path2())
-    split = exact_crucial_split(s, tau_minus=0.3, tau_plus=0.4)
-    assert split.crucial == (0,)
-    assert split.noncrucial == (1,)
-    assert split.ignored == ()
+    g = path2()
+    split = classify(g, exact_stats(g).q, tau_minus=0.3, tau_plus=0.4, epsilon=0.3)
+    assert split.crucial_edges == (0,)
+    assert split.noncrucial_edges == (1,)
+    assert split.ignored_edges == ()
     assert split.c_v[1] == pytest.approx(0.5, abs=1e-12)
     assert split.n_v[1] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_crucial_split_ignored_band():
-    s = exact_stats(path2())
-    split = exact_crucial_split(s, tau_minus=0.1, tau_plus=0.6)
+    g = path2()
+    split = classify(g, exact_stats(g).q, tau_minus=0.1, tau_plus=0.6, epsilon=0.3)
     # q = (0.5, 0.25): both fall strictly inside (0.1, 0.6).
-    assert split.crucial == ()
-    assert split.ignored == (0, 1)
+    assert split.crucial_edges == ()
+    assert split.ignored_edges == (0, 1)
 
 
 def test_crucial_split_all_crucial():
-    s = exact_stats(two_single_edges(0.9))
-    split = exact_crucial_split(s, tau_minus=0.05, tau_plus=0.5)
-    assert split.noncrucial == ()
+    g = two_single_edges(0.9)
+    split = classify(g, exact_stats(g).q, tau_minus=0.05, tau_plus=0.5, epsilon=0.3)
+    assert split.noncrucial_edges == ()
     assert np.all(split.n_v == 0)
 
 
 def test_split_threshold_validation():
-    s = exact_stats(path2())
+    g = path2()
     with pytest.raises(ValueError):
-        exact_crucial_split(s, tau_minus=0.5, tau_plus=0.3)
+        classify(g, exact_stats(g).q, tau_minus=0.5, tau_plus=0.3, epsilon=0.3)
 
 
 def test_mass_conservation_per_vertex():
     for g in small_corpus(count=6, seed=13, max_edges=8):
         s = exact_stats(g)
-        split = exact_crucial_split(s, tau_minus=0.15, tau_plus=0.35)
+        split = classify(g, s.q, tau_minus=0.15, tau_plus=0.35, epsilon=0.3)
         ignored_v = np.zeros(g.n)
-        for e in split.ignored:
+        for e in split.ignored_edges:
             u, v = g.endpoints(e)
             ignored_v[u] += s.q[e]
             ignored_v[v] += s.q[e]

@@ -536,14 +536,7 @@ def test_triple_independence_across_components():
     params = VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=200)
     engine = VimEngine(cls, params, seed=23)
     runs = 6000
-    X = np.zeros((runs, 3), dtype=bool)
-    probes = (0, 2, 4)
-    for s in range(runs):
-        creal = engine.input_realization(("trip", s))
-        z = engine.run(2, creal, key=("trip", s))
-        covered = {v for e in z for v in g.endpoints(e)}
-        for j, v in enumerate(probes):
-            X[s, j] = v in covered
+    X = engine.matched_indicators(("trip",), runs, 2)[:, [0, 2, 4]]
     joint = float(np.mean(X.all(axis=1)))
     product = float(np.prod(X.mean(axis=0)))
     se = 3 * math.sqrt(max(joint * (1 - joint), product) / runs) + 3e-3
@@ -627,6 +620,51 @@ def _er10_all_crucial():
     g = erdos_renyi(10, 0.3, (0.3, 0.9), seed=5)
     assert g.m == 13
     return all_crucial(g)
+
+
+def _path3_engine():
+    g = StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    cls = classify(g, exact_stats(g).q, 0.1, 0.2, epsilon=0.3)
+    return VimEngine(cls, VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300),
+                     seed=13)
+
+
+def _er10_engine():
+    return VimEngine(_er10_all_crucial(),
+                     VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)
+
+
+def _sampling_loop(engine, prefix, runs, depth):
+    """The per-caller loop ``matched_indicators`` replaced: matched-vertex
+    counts and matching sizes of the runs at keys ``prefix + (s,)``."""
+    g = engine.cls.graph
+    X = np.zeros((runs, g.n), dtype=bool)
+    counts = np.zeros(g.n)
+    sizes = []
+    for s in range(runs):
+        key = prefix + (s,)
+        z = engine.run(depth, engine.input_realization(key), key=key)
+        sizes.append(len(z))
+        for e in z:
+            u, v = g.endpoints(e)
+            X[s, u] = X[s, v] = True
+            counts[u] += 1
+            counts[v] += 1
+    return X, counts, sizes
+
+
+@pytest.mark.parametrize("make", [_path3_engine, _er10_engine], ids=["path3", "er10"])
+def test_matched_indicators_equal_the_sampling_loop(make):
+    for depth in (1, 2):
+        X = make().matched_indicators(("diff",), 40, depth)
+        want, _, sizes = _sampling_loop(make(), ("diff",), 40, depth)
+        assert X.dtype == bool and np.array_equal(X, want)
+        assert X.sum(axis=1).tolist() == [2 * z for z in sizes]
+    for r in (1, 2):
+        engine = make()
+        samples = engine.params.gamma_samples
+        _, counts, _ = _sampling_loop(make(), ("gamma", r), samples, r)
+        assert np.array_equal(engine.gamma_table(r), counts / samples)
 
 
 @pytest.mark.parametrize("case", ["path3", "er10", "er10_one_round"])
