@@ -5,7 +5,8 @@ contract, vim, certify, experiment.  The vim and certify subcommands print
 the reports of the harness's independence test and certificate batch.
 Output is JSON by default; csv writes one row per leaf of the payload, the
 dotted key path and the JSON-encoded value.  The experiment subcommand exits
-nonzero when any non-informational check fails.
+nonzero when any non-informational check fails.  Bad input and tripped
+guards print ``error: <message>`` to stderr and exit 2, without a traceback.
 """
 
 from __future__ import annotations
@@ -291,7 +292,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StochmatchError as exc:
+    except (StochmatchError, ValueError) as exc:
+        # Bad input (an unknown family, a missing or out-of-range parameter)
+        # is reported like a guard error, without a traceback.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -33,7 +33,11 @@ class DivisionGuardError(StochmatchError):
 
 
 class ConflictGraphCapError(StochmatchError):
-    """Hyperwalk enumeration produced more conflict-graph nodes than allowed."""
+    """Hyperwalk enumeration produced more candidate walks than allowed.
+
+    The cap (``VimParams.conflict_cap``) bounds the candidate hyperwalks of
+    one recursion node; no conflict graph is built, the name is historical.
+    """
 
 
 class SubsetCapError(StochmatchError):

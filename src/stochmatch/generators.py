@@ -125,11 +125,19 @@ _FAMILIES = {
 
 
 def generate(family: str, params: dict, seed=0) -> StochasticGraph:
-    """Dispatch on family name; used by the CLI and config files."""
+    """Dispatch on family name; used by the CLI and config files.
+
+    An unknown family, params that are not a dict, or a missing parameter
+    raise ``ValueError``."""
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
         ) from None
-    return builder(params, seed)
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict of named values, got {type(params).__name__}")
+    try:
+        return builder(params, seed)
+    except KeyError as exc:
+        raise ValueError(f"family {family!r} needs parameter {exc.args[0]!r}") from None

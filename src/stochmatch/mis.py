@@ -17,9 +17,7 @@ maximal.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .randomness import as_stream
 
@@ -52,10 +50,20 @@ def max_conflict_degree(members) -> int:
     """Largest number of other nodes that share a member with one node.
 
     Nodes with one member set C share members with the same nodes, so each
-    has degree (number of nodes whose member set meets C) - 1; the nodes are
-    grouped by member set and only the groups are intersected.
+    has degree (number of nodes whose member set meets C) - 1.  One pass
+    counts the nodes per member tuple; a frozenset is built only per
+    distinct tuple, and tuples that give the same set (members listed in
+    another order, or twice) are merged into one group.  Only the groups are
+    intersected.
     """
-    groups = Counter(frozenset(m) for m in members)
+    by_tuple: dict[tuple, int] = {}
+    for m in members:
+        m = tuple(m)
+        by_tuple[m] = by_tuple.get(m, 0) + 1
+    groups: dict[frozenset, int] = {}
+    for m, k in by_tuple.items():
+        c = frozenset(m)
+        groups[c] = groups.get(c, 0) + k
     groups.pop(frozenset(), None)  # a node without members conflicts with nothing
     if len(groups) <= 1:
         return max(sum(groups.values()) - 1, 0)
@@ -63,10 +71,17 @@ def max_conflict_degree(members) -> int:
     for c in groups:
         for m in c:
             by_member.setdefault(m, []).append(c)
-    return max(
-        sum(groups[d] for d in set(chain.from_iterable(by_member[m] for m in c)))
-        for c in groups
-    ) - 1
+    best = 0
+    for c in groups:
+        met = set()
+        for m in c:
+            met.update(by_member[m])
+        total = 0
+        for d in met:
+            total += groups[d]
+        if total > best:
+            best = total
+    return best - 1
 
 
 def luby_rounds(members, rounds: int, priority) -> MisResult:

@@ -11,7 +11,16 @@ each walk's vertices as its members, and the round budget needs only the
 largest conflict degree, which ``mis.max_conflict_degree`` computes from the
 walks grouped by vertex set; so no pairwise conflict graph is built on the
 hot path (``build_conflict_graph`` stays as the explicit form and the test
-oracle).  Applying the chosen walks rebuilds only the slots they touch.
+oracle).  Applying the chosen walks rebuilds only the slots they touch,
+and carries the profile's cover total over through their size changes.
+
+Most nodes are at level 1, where every matching is empty and each walk is
+one step, so the enumerator keeps its fixed cost low: the last step of a
+walk is tested without being pushed (no cover-count updates, and the
+orientation rejects half the steps first), an empty matching offers its
+realized set as add steps as it is, a slot's cover-count row is built only
+when a step is pushed in it, and walks are collected as tuples, sorted, and
+only then built as ``Hyperwalk`` objects without re-checking them.
 
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
@@ -116,18 +125,43 @@ class VimParams:
         return cls(epsilon=epsilon, alpha=alpha, depth=depth, walk_cap=walk_cap, **overrides)
 
 
-@dataclass(frozen=True)
 class Hyperwalk:
-    """A walk in the crucial graph whose steps carry profile-slot labels."""
+    """A walk in the crucial graph whose steps carry profile-slot labels.
 
-    steps: tuple[tuple[int, int], ...]
-    vertices: tuple[int, ...]
+    Immutable, with value equality and hash over (steps, vertices).  The
+    public constructor checks the lengths; the enumerator, whose walks are
+    valid by construction, builds them through ``_unchecked_walk``.
+    """
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.steps) + 1:
+    __slots__ = ("steps", "vertices")
+
+    def __init__(self, steps: tuple[tuple[int, int], ...], vertices: tuple[int, ...]):
+        if len(vertices) != len(steps) + 1:
             raise ValueError("a walk on k edges visits k + 1 vertices")
-        if not self.steps:
+        if not steps:
             raise ValueError("hyperwalks have size at least 1")
+        _set_steps(self, steps)
+        _set_vertices(self, vertices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hyperwalk is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Hyperwalk is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Hyperwalk:
+            return NotImplemented
+        return self.steps == other.steps and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.steps, self.vertices))
+
+    def __repr__(self):
+        return f"Hyperwalk(steps={self.steps!r}, vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return Hyperwalk, (self.steps, self.vertices)
 
     @property
     def size(self) -> int:
@@ -138,10 +172,21 @@ class Hyperwalk:
         return self.vertices[0], self.vertices[-1]
 
 
+_set_steps = Hyperwalk.steps.__set__
+_set_vertices = Hyperwalk.vertices.__set__
+
+
+def _unchecked_walk(steps, vertices) -> Hyperwalk:
+    w = object.__new__(Hyperwalk)
+    _set_steps(w, steps)
+    _set_vertices(w, vertices)
+    return w
+
+
 class Profile:
     """Pairs (realized slot, matching of that slot) over the crucial graph."""
 
-    __slots__ = ("cls", "realized", "matchings", "cover")
+    __slots__ = ("cls", "realized", "matchings", "cover", "_sum_d")
 
     def __init__(self, classification: EdgeClassification, realized, matchings):
         if len(realized) != len(matchings):
@@ -152,6 +197,7 @@ class Profile:
         self.matchings = [frozenset(m) for m in matchings]
         self.cover = [_slot_cover(g, i, real, mat)
                       for i, (real, mat) in enumerate(zip(self.realized, self.matchings))]
+        self._sum_d = sum(map(len, self.cover))
 
     @property
     def n_slots(self) -> int:
@@ -161,12 +207,15 @@ class Profile:
         return sum(1 for cov in self.cover if v in cov)
 
     def sum_d(self) -> int:
-        return sum(len(cov) for cov in self.cover)
+        """Sum over vertices of ``d(v)``: the total size of the slot covers."""
+        return self._sum_d
 
 
 def _slot_cover(g, i: int, real: frozenset[int], mat: frozenset[int]) -> dict[int, int]:
     """Vertex -> matched edge of slot ``i``, checking that ``mat`` is a
     matching of realized edges."""
+    if not mat:
+        return {}
     if not mat <= real:
         raise AssertionError(f"slot {i}: matching contains unrealized edges")
     cov: dict[int, int] = {}
@@ -242,40 +291,79 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     and no pair is over-covered, an O(1) check per step.  Every walk is
     reached once from each end and kept in its smaller orientation only,
     which the first and last steps decide.
+
     The search stops descending when no slot offers a step of the next
-    parity (at level 1, say, every matching is empty, so nothing to remove).
+    parity (at level 1, say, every matching is empty, so nothing to remove)
+    or the walk is at ``walk_cap`` steps.  There the last step is tested
+    without being pushed: an even step ends no walk, and an odd step ends
+    one exactly when nothing is over-covered yet, its endpoint is a new
+    unsaturated vertex, the orientation holds, the step is unused, and
+    neither of its vertices is covered once already in its slot.  So a
+    level-1 node only tests single steps, and half of them fail the
+    orientation before any other work.
+
+    The per-slot tables are built lazily: a slot with an empty matching
+    offers every realized edge as an add step, and a slot's cover-count row
+    is built the first time a step is pushed in it.  Until then its counts
+    are the slot's cover, which the leaf test reads directly.
     """
     cadj = profile.cls.crucial_adjacency()
     n = profile.cls.graph.n
+    cover = profile.cover
     add_slots: dict[int, list[int]] = {}
     rem_slots: dict[int, list[int]] = {}
-    count = []
     for s, (real, mat) in enumerate(zip(profile.realized, profile.matchings)):
-        for e in real - mat:
+        if mat:
+            real = real - mat
+            for e in mat:
+                rem_slots.setdefault(e, []).append(s)
+        for e in real:
             add_slots.setdefault(e, []).append(s)
-        for e in mat:
-            rem_slots.setdefault(e, []).append(s)
-        row = [0] * n
-        for v in profile.cover[s]:
-            row[v] = 1
-        count.append(row)
-    found: list[Hyperwalk] = []
+    rows: dict[int, list[int]] = {}
+    found: list[tuple] = []
     steps: list[tuple[int, int]] = []
     verts: list[int] = []
     over = 0
 
+    def leaf(cur):
+        # The last step adds (it is odd) and is tested without a push.  The
+        # orientation compares the endpoints of a one-step walk, and the
+        # first and last steps of a longer one.
+        for nbr, e in cadj.get(cur, ()):
+            if nbr == v0 or nbr in saturated or not (steps or v0 < nbr):
+                continue
+            for s in add_slots.get(e, ()):
+                step = (e, s)
+                if steps and (not steps[0] < step or step in steps):
+                    continue
+                row = rows.get(s)
+                if row is None:
+                    cov = cover[s]
+                    if cur in cov or nbr in cov:
+                        continue
+                elif row[cur] == 1 or row[nbr] == 1:
+                    continue
+                found.append((v0, (*steps, step), (*verts, nbr)))
+
     def extend(cur, odd):
         nonlocal over
         slot_lists, nxt = (add_slots, rem_slots) if odd else (rem_slots, add_slots)
+        if not nxt or len(steps) + 1 >= walk_cap:
+            if odd and not over:
+                leaf(cur)
+            return
         # A pair's over-cover flips exactly when its count reaches ``flip``.
         d, flip = (1, 2) if odd else (-1, 1)
-        descend = bool(nxt) and len(steps) + 1 < walk_cap
         for nbr, e in cadj.get(cur, ()):
             for s in slot_lists.get(e, ()):
                 step = (e, s)
                 if step in steps:
                     continue
-                row = count[s]
+                row = rows.get(s)
+                if row is None:
+                    row = rows[s] = [0] * n
+                    for v in cover[s]:
+                        row[v] = 1
                 row[cur] += d
                 row[nbr] += d
                 moved = d * ((row[cur] == flip) + (row[nbr] == flip))
@@ -287,9 +375,8 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
                 # smaller than its last.
                 if (odd and not over and nbr != v0 and nbr not in saturated
                         and (steps[0] < step if len(steps) > 1 else v0 < nbr)):
-                    found.append(Hyperwalk(tuple(steps), tuple(verts)))
-                if descend:
-                    extend(nbr, not odd)
+                    found.append((v0, tuple(steps), tuple(verts)))
+                extend(nbr, not odd)
                 steps.pop()
                 verts.pop()
                 row[cur] -= d
@@ -302,8 +389,10 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
         verts.append(v0)
         extend(v0, True)
         verts.pop()
-    found.sort(key=lambda w: (w.vertices[0], w.steps))
-    return found
+    # Plain tuple order is (first vertex, steps): the steps and the first
+    # vertex fix the walk, so the vertices never decide.
+    found.sort()
+    return [_unchecked_walk(walk_steps, walk_verts) for _, walk_steps, walk_verts in found]
 
 
 def build_conflict_graph(walks) -> list[set[int]]:
@@ -327,17 +416,16 @@ def apply_hyperwalks(profile: Profile, walks) -> Profile:
     """Apply vertex-disjoint augmenting hyperwalks; slot-wise union minus removal.
 
     Only the slots the walks touch are rebuilt and re-validated; the others
-    were validated when ``profile`` was built and are carried over.
+    were validated when ``profile`` was built and are carried over, and so
+    is ``sum_d``, changed by each touched slot's new cover size minus its old.
     """
     seen: set[int] = set()
-    for w in walks:
-        wv = set(w.vertices)
-        if wv & seen:
-            raise AssertionError("hyperwalks passed to apply must be vertex-disjoint")
-        seen |= wv
     matchings = list(profile.matchings)
     touched: set[int] = set()
     for w in walks:
+        if not seen.isdisjoint(w.vertices):
+            raise AssertionError("hyperwalks passed to apply must be vertex-disjoint")
+        seen.update(w.vertices)
         adds: dict[int, set[int]] = {}
         rems: dict[int, set[int]] = {}
         for pos, (e, s) in enumerate(w.steps, start=1):
@@ -349,9 +437,13 @@ def apply_hyperwalks(profile: Profile, walks) -> Profile:
         touched.update(adds, rems)
     out = Profile.__new__(Profile)
     out.cls, out.realized, out.matchings = profile.cls, profile.realized, matchings
-    out.cover = list(profile.cover)
+    out.cover = cover = list(profile.cover)
+    sum_d = profile._sum_d
     for s in sorted(touched):
-        out.cover[s] = _slot_cover(profile.cls.graph, s, profile.realized[s], matchings[s])
+        new = _slot_cover(profile.cls.graph, s, profile.realized[s], matchings[s])
+        sum_d += len(new) - len(cover[s])
+        cover[s] = new
+    out._sum_d = sum_d
     return out
 
 

@@ -194,3 +194,20 @@ def test_guard_errors_exit_2(capsys, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     code = main(["oracle", "--graph", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "path", "--params", '{"n": 3}'],
+     "family 'path' needs parameter 'p'"),
+    (["gen", "--family", "nosuch"], "unknown family 'nosuch'"),
+    (["gen", "--family", "path", "--params", "[3, 0.5]"], "params must be a dict"),
+    (["vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}', "--samples", "200",
+      "--walk-cap", "0"], "walk_cap"),
+], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0"])
+def test_input_errors_exit_2_without_a_traceback(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err

@@ -1,12 +1,14 @@
 """Augmenting hyperwalks and the recursive matching construction."""
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochmatch.decomposition import classify
@@ -55,6 +57,47 @@ def single_edge_cls(p=1.0, eps=0.3):
 
 
 # -- hyperwalk mechanics ------------------------------------------------------
+
+
+def test_hyperwalk_constructor_checks_lengths():
+    with pytest.raises(ValueError, match="size at least 1"):
+        Hyperwalk((), (0,))
+    with pytest.raises(ValueError, match="k \\+ 1 vertices"):
+        Hyperwalk(((0, 0),), (0, 1, 2))
+    with pytest.raises(ValueError, match="k \\+ 1 vertices"):
+        Hyperwalk(((0, 0), (1, 0)), (0, 1))
+
+
+def test_hyperwalk_is_an_immutable_value():
+    a = Hyperwalk(((0, 0), (1, 2), (3, 0)), (0, 1, 2, 3))
+    b = Hyperwalk(((0, 0), (1, 2), (3, 0)), (0, 1, 2, 3))
+    c = Hyperwalk(((0, 0), (1, 2), (3, 1)), (0, 1, 2, 3))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != c and a != (a.steps, a.vertices)
+    assert {a, b, c} == {a, c} and b in {a}
+    assert repr(a) == "Hyperwalk(steps=((0, 0), (1, 2), (3, 0)), vertices=(0, 1, 2, 3))"
+    assert (a.size, a.endpoints) == (3, (0, 3))
+    with pytest.raises(AttributeError):
+        a.steps = ((0, 0),)
+    with pytest.raises(AttributeError):
+        a.vertices = (0, 1)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.steps
+    assert a == b
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_enumerated_walks_equal_publicly_built_walks():
+    g = path_graph(3, 1.0)
+    prof = Profile(mechanics_cls(g), [{0, 1, 2}, {0, 2}], [{1}, set()])
+    walks = enumerate_augmenting_hyperwalks(prof, frozenset(), 3)
+    assert walks
+    for w in walks:
+        public = Hyperwalk(w.steps, w.vertices)
+        assert type(w) is Hyperwalk and w == public and hash(w) == hash(public)
+    assert set(walks) == {Hyperwalk(w.steps, w.vertices) for w in walks}
 
 
 def test_is_augmenting_size_one_free_endpoints():
@@ -138,6 +181,29 @@ def test_enumerate_finds_length_three_augmentation():
     assert Hyperwalk(((0, 0), (1, 0), (2, 0)), (0, 1, 2, 3)) in walks
 
 
+def _random_profile(rng, match_p=0.6):
+    """A random graph, every edge crucial, and a profile of random realized
+    slots, each with a random matching of its edges (empty at match_p=0)."""
+    n = int(rng.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    m = int(rng.integers(2, min(8, len(pairs)) + 1))
+    g = StochasticGraph(n, [(u, v, 0.9) for u, v in pairs[:m]])
+    cls = mechanics_cls(g)
+    realized, matchings = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        real = frozenset(e for e in range(m) if rng.random() < 0.8)
+        cover, mat = set(), set()
+        for e in sorted(real, key=lambda _: rng.random()):
+            u, v = g.endpoints(e)
+            if rng.random() < match_p and u not in cover and v not in cover:
+                mat.add(e)
+                cover.update((u, v))
+        realized.append(real)
+        matchings.append(mat)
+    return g, Profile(cls, realized, matchings)
+
+
 def test_enumeration_matches_reference_enumerator():
     # The incremental search must return exactly the walks, in the order, of
     # the generate-then-validate oracle, across slot counts, saturated sets
@@ -145,30 +211,55 @@ def test_enumeration_matches_reference_enumerator():
     rng = np.random.default_rng(11)
     total = 0
     for trial in range(60):
-        n = int(rng.integers(3, 8))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        m = int(rng.integers(2, min(8, len(pairs)) + 1))
-        g = StochasticGraph(n, [(u, v, 0.9) for u, v in pairs[:m]])
-        cls = mechanics_cls(g)
-        realized, matchings = [], []
-        for _ in range(int(rng.integers(1, 7))):
-            real = frozenset(e for e in range(m) if rng.random() < 0.8)
-            cover, mat = set(), set()
-            for e in sorted(real, key=lambda _: rng.random()):
-                u, v = g.endpoints(e)
-                if rng.random() < 0.6 and u not in cover and v not in cover:
-                    mat.add(e)
-                    cover.update((u, v))
-            realized.append(real)
-            matchings.append(mat)
-        prof = Profile(cls, realized, matchings)
-        sat = frozenset(v for v in range(n) if rng.random() < 0.25)
+        g, prof = _random_profile(rng)
+        sat = frozenset(v for v in range(g.n) if rng.random() < 0.25)
         cap = trial % 5 + 1
         got = enumerate_augmenting_hyperwalks(prof, sat, cap)
         assert got == reference_augmenting_hyperwalks(prof, sat, cap)
         total += len(got)
     assert total > 100
+
+    # Level-1 shape: every matching empty, so no step can be removed and
+    # every step is tested as a last step, at any cap.
+    rng = np.random.default_rng(12)
+    total = 0
+    for trial in range(45):
+        g, prof = _random_profile(rng, match_p=0.0)
+        assert not any(prof.matchings)
+        sat = frozenset(v for v in range(g.n) if rng.random() < 0.25)
+        cap = trial % 3 + 1
+        got = enumerate_augmenting_hyperwalks(prof, sat, cap)
+        assert got == reference_augmenting_hyperwalks(prof, sat, cap)
+        assert all(w.size == 1 for w in got)
+        total += len(got)
+    assert total > 100
+
+    # All vertices but one saturated: walks can start at the free vertex,
+    # but every last step ends at a saturated one and must be refused.
+    rng = np.random.default_rng(13)
+    refused = 0
+    for trial in range(30):
+        g, prof = _random_profile(rng)
+        cap = trial % 3 + 1
+        free = int(rng.integers(0, g.n))
+        sat = frozenset(range(g.n)) - {free}
+        got = enumerate_augmenting_hyperwalks(prof, sat, cap)
+        assert got == reference_augmenting_hyperwalks(prof, sat, cap) == []
+        refused += sum(free in w.endpoints
+                       for w in enumerate_augmenting_hyperwalks(prof, frozenset(), cap))
+    assert refused > 20
+
+    # walk_cap 3 with matchings present: the search descends through a
+    # removal, and the third step is the tested-not-pushed last step.
+    rng = np.random.default_rng(14)
+    three_step = 0
+    for trial in range(40):
+        g, prof = _random_profile(rng)
+        sat = frozenset(v for v in range(g.n) if rng.random() < 0.15)
+        got = enumerate_augmenting_hyperwalks(prof, sat, 3)
+        assert got == reference_augmenting_hyperwalks(prof, sat, 3)
+        three_step += sum(w.size == 3 for w in got)
+    assert three_step > 100
 
 
 def test_conflict_graph_rules():
@@ -188,11 +279,17 @@ def test_conflict_graph_hub_clique():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=4), max_size=16))
+# Nodes listing one vertex set in different orders, or with a repeat, form
+# one group, and members may come as lists.
+@example([[0, 1, 2], [2, 1, 0], [1, 0, 2, 2], [3, 4], [4, 3], [2, 3], [5, 6], [6, 5, 0]])
+@example([[1, 0], [0, 1], [0, 1]])
 def test_max_conflict_degree_equals_the_conflict_graph(vertex_lists):
     walks = [Hyperwalk(tuple((i, 0) for i in range(len(vs) - 1)), tuple(vs))
              for vs in vertex_lists]
     want = max((len(a) for a in build_conflict_graph(walks)), default=0)
     assert max_conflict_degree([w.vertices for w in walks]) == want
+    assert max_conflict_degree(vertex_lists) == want
+    assert max_conflict_degree([vs[::-1] for vs in vertex_lists]) == want
 
 
 def test_apply_empty_keeps_profile():
