@@ -5,8 +5,9 @@ contract, vim, certify, experiment.  The vim and certify subcommands print
 the reports of the harness's independence test and certificate batch.
 Output is JSON by default; csv writes one row per leaf of the payload, the
 dotted key path and the JSON-encoded value.  The experiment subcommand exits
-nonzero when any non-informational check fails.  Bad input and tripped
-guards print ``error: <message>`` to stderr and exit 2, without a traceback.
+nonzero when any non-informational check fails.  Bad input (an unreadable
+graph or config file included) and tripped guards print ``error: <message>``
+to stderr and exit 2, without a traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ __all__ = ["main"]
 
 def _load_graph(args) -> StochasticGraph:
     if getattr(args, "graph", None):
-        return StochasticGraph.from_file(args.graph)
+        try:
+            return StochasticGraph.from_file(args.graph)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.graph}: {exc.strerror}") from exc
     if getattr(args, "family", None):
         params = json.loads(args.params) if args.params else {}
         return generate(args.family, params, args.seed)
@@ -210,8 +214,12 @@ def _cmd_certify(args):
 
 def _cmd_experiment(args):
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
+        config = ExperimentConfig.from_dict(data)
     else:
         params = json.loads(args.params) if args.params else {}
         config = ExperimentConfig(

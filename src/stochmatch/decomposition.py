@@ -106,6 +106,8 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
     while done < samples:
         take = min(_SAMPLE_BLOCK, samples - done)
         present = stream.child("block", block_index).uniforms((take, m)) < g.ps
+        # Python ints per block: one numpy update per block, not per matched edge.
+        block_counts = [0] * m
         if by_mask:
             masks = (present.astype(np.uint64) * pow2).sum(axis=1, dtype=np.uint64)
             uniq, cnt = np.unique(masks, return_counts=True)
@@ -115,7 +117,7 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
                 sum_mu += k * c
                 sum_mu_sq += k * k * c
                 for e in matched:
-                    counts[e] += c
+                    block_counts[e] += c
         else:
             for row in present:
                 matched = max_matching(g, Realization(g, row)).edges
@@ -123,7 +125,8 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
                 sum_mu += k
                 sum_mu_sq += k * k
                 for e in matched:
-                    counts[e] += 1
+                    block_counts[e] += 1
+        counts += block_counts
         done += take
         block_index += 1
     return QEstimate(g, samples, counts, sum_mu, sum_mu_sq)

@@ -201,9 +201,14 @@ def sample_realization(g: StochasticGraph, stream: RandomStream) -> Realization:
 
 
 class Matching:
-    """A set of pairwise vertex-disjoint edges of a parent graph."""
+    """A set of pairwise vertex-disjoint edges of a parent graph.
 
-    __slots__ = ("graph", "edges", "matched_vertex")
+    The public constructor validates the edges eagerly.  The vertex map
+    ``matched_vertex`` (each matched vertex to its partner) is built on first
+    use, since most callers read only ``edges``.
+    """
+
+    __slots__ = ("graph", "edges", "_matched")
 
     def __init__(self, graph: StochasticGraph, edge_ids):
         edges = frozenset(int(e) for e in edge_ids)
@@ -216,18 +221,29 @@ class Matching:
             matched[v] = u
         self.graph = graph
         self.edges = edges
-        self.matched_vertex = matched
+        self._matched = matched
 
     @classmethod
-    def _from_pairs(cls, graph: StochasticGraph, edge_ids, matched_vertex: dict) -> "Matching":
+    def _from_pairs(cls, graph: StochasticGraph, edge_ids) -> "Matching":
         """A matching built without the checks of ``__init__``, for callers
-        whose ``matched_vertex`` pairs the endpoints of ``edge_ids`` and is
-        vertex-disjoint by construction."""
+        whose ``edge_ids`` are vertex-disjoint by construction."""
         out = cls.__new__(cls)
         out.graph = graph
         out.edges = frozenset(edge_ids)
-        out.matched_vertex = matched_vertex
+        out._matched = None
         return out
+
+    @property
+    def matched_vertex(self) -> dict[int, int]:
+        """Partner of every matched vertex."""
+        if self._matched is None:
+            matched = {}
+            for e in self.edges:
+                u, v = self.graph.endpoints(e)
+                matched[u] = v
+                matched[v] = u
+            self._matched = matched
+        return self._matched
 
     def __len__(self):
         return len(self.edges)

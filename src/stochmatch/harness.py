@@ -348,7 +348,10 @@ class ExperimentConfig:
 
     def load_graph(self) -> StochasticGraph:
         if self.graph_file:
-            return StochasticGraph.from_file(self.graph_file)
+            try:
+                return StochasticGraph.from_file(self.graph_file)
+            except OSError as exc:
+                raise ValueError(f"cannot read {self.graph_file}: {exc.strerror}") from exc
         if self.graph_family:
             return generate(self.graph_family, self.graph_params, self.seed)
         raise ValueError("config needs graph_file or graph_family")

@@ -3,12 +3,12 @@
 The matching routine is a pure function of the edge set.  Each call filters
 the graph's cached adjacency (``StochasticGraph.half_edges``, the flattened
 ``adjacency``, ascending by vertex and then neighbor id) through a presence
-test on the edge set: the realization's ``present`` mask, or a byte mask of
-the given edge ids.  Every vertex's neighbor list is therefore ascending
-without a per-call sort or an edge lookup table.  Only vertices with at least
-one present edge take part.  A greedy seed matching scans them in
-ascending id order, and augmenting searches start from free vertices in
-ascending id order with a FIFO frontier.  Two calls on the same edge set (in
+test on the edge set: the realization's ``present`` mask, a byte mask of
+the given edge ids, or the bits of a realization bitmask.  Every vertex's
+neighbor list is therefore ascending without a per-call sort or an edge
+lookup table.  Only vertices with at least one present edge take part.  A
+greedy seed matching scans them in ascending id order, and augmenting
+searches start from free vertices in ascending id order with a FIFO frontier.  Two calls on the same edge set (in
 any input order or form) return identical matchings, which is what makes
 per-edge matching probabilities well defined downstream.
 
@@ -28,13 +28,17 @@ the two path walks marked.  That union is sorted before relabeling and
 pushing, so the frontier receives the same vertices in the same ascending
 order as the scan, at a cost proportional to the blossom instead of to n.
 
-Result.  The ``Matching`` is built from the ``match`` list, which is an
+Result.  The matched edge ids come from the ``match`` list, which is an
 involution: each matched pair is listed once from its lower vertex, and its
 edge id comes from a bisect in ``adjacency``.  The pairs are vertex-disjoint
-by construction, so the result skips the public constructor's re-validation.
+by construction, so ``max_matching`` builds its ``Matching`` from the ids
+alone and skips the public constructor's re-validation.
 
 Small graphs.  ``matched_by_mask`` answers from the graph's ``mask_table``,
-matching a realization bitmask only the first time it is seen.
+matching a realization bitmask only the first time it is seen.  A miss reads
+the presence of edge e straight from bit e of the mask and stores the
+ascending matched edge ids; it builds no ``Matching`` and does not go through
+``max_matching``, whose result it equals.
 """
 
 from __future__ import annotations
@@ -75,21 +79,7 @@ def max_matching(g: StochasticGraph, edge_set=None) -> Matching:
     for v, u, e in g.half_edges:
         if present[e]:
             adj[v].append(u)
-    verts = [v for v, nbrs in enumerate(adj) if nbrs]
-    match = _blossom(g.n, verts, adj)
-    rows = g.adjacency
-    out = []
-    partner = {}
-    for v in verts:
-        u = match[v]
-        if u > v:
-            row = rows[v]
-            out.append(row[bisect_left(row, (u,))][1])
-            partner[v] = u
-            partner[u] = v
-    # ``match`` is an involution (match[match[v]] == v for every matched v),
-    # so the pairs it lists are vertex-disjoint by construction.
-    return Matching._from_pairs(g, out, partner)
+    return Matching._from_pairs(g, _matched_edges(g, adj))
 
 
 def mu(g: StochasticGraph, edge_set=None) -> int:
@@ -106,9 +96,31 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
     table = g.mask_table
     matched = table.get(mask)
     if matched is None:
-        ids = [e for e in range(g.m) if mask >> e & 1]
-        matched = table[mask] = tuple(sorted(max_matching(g, ids).edges))
+        adj = [[] for _ in range(g.n)]
+        for v, u, e in g.half_edges:
+            if mask >> e & 1:
+                adj[v].append(u)
+        matched = table[mask] = tuple(sorted(_matched_edges(g, adj)))
     return matched
+
+
+def _matched_edges(g: StochasticGraph, adj: list[list[int]]) -> list[int]:
+    """Edge ids of the blossom matching on the ascending neighbor lists ``adj``.
+
+    ``match`` is an involution (match[match[v]] == v for every matched v), so
+    each pair is listed once, from its lower vertex, and the pairs are
+    vertex-disjoint by construction.
+    """
+    verts = [v for v, nbrs in enumerate(adj) if nbrs]
+    match = _blossom(g.n, verts, adj)
+    rows = g.adjacency
+    out = []
+    for v in verts:
+        u = match[v]
+        if u > v:
+            row = rows[v]
+            out.append(row[bisect_left(row, (u,))][1])
+    return out
 
 
 def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:

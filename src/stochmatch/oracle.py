@@ -6,7 +6,10 @@ matching used everywhere else.  Matchings come from the graph's shared
 ``mask_table``, so a mask that ``estimate_q`` already matched on the same
 graph is looked up, not matched again, and the masks the oracle matches are
 kept there too.  Sums are Kahan-compensated; "exact" means exact to double
-precision, since the input probabilities are decimals.
+precision, since the input probabilities are decimals.  The sums are kept in
+Python floats, which are the same IEEE doubles as numpy float64 scalars, and
+are updated in the same mask order with the same operations, so they give
+the same bits as per-element numpy sums at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -34,30 +37,6 @@ class ExactStats:
     matched_prob: np.ndarray
 
 
-class _Kahan:
-    __slots__ = ("total", "comp")
-
-    def __init__(self, size=None):
-        if size is None:
-            self.total = 0.0
-            self.comp = 0.0
-        else:
-            self.total = np.zeros(size)
-            self.comp = np.zeros(size)
-
-    def add(self, value, idx=None):
-        if idx is None:
-            y = value - self.comp
-            t = self.total + y
-            self.comp = (t - self.total) - y
-            self.total = t
-        else:
-            y = value - self.comp[idx]
-            t = self.total[idx] + y
-            self.comp[idx] = (t - self.total[idx]) - y
-            self.total[idx] = t
-
-
 def exact_stats(g: StochasticGraph, cap: int = DEFAULT_EDGE_CAP) -> ExactStats:
     """Exact expected maximum matching size and per-edge matching probabilities.
 
@@ -76,18 +55,27 @@ def exact_stats(g: StochasticGraph, cap: int = DEFAULT_EDGE_CAP) -> ExactStats:
         probs[bit] *= g.ps[e]
         probs[~bit] *= 1.0 - g.ps[e]
 
-    opt_acc = _Kahan()
-    q_acc = _Kahan(m)
+    # Kahan sums in Python floats (the same IEEE doubles as numpy scalars),
+    # one mask at a time in counting order.
+    opt = opt_comp = 0.0
+    total = [0.0] * m
+    comp = [0.0] * m
     for mask in range(1 << m):
         matched = matched_by_mask(g, mask)
         p = float(probs[mask])
-        opt_acc.add(p * len(matched))
+        y = p * len(matched) - opt_comp
+        t = opt + y
+        opt_comp = (t - opt) - y
+        opt = t
         for e in matched:
-            q_acc.add(p, e)
-    q = np.asarray(q_acc.total)
+            y = p - comp[e]
+            t = total[e] + y
+            comp[e] = (t - total[e]) - y
+            total[e] = t
+    q = np.array(total, dtype=np.float64)
     matched_prob = np.zeros(g.n)
     for e in range(m):
         u, v = g.endpoints(e)
         matched_prob[u] += q[e]
         matched_prob[v] += q[e]
-    return ExactStats(graph=g, opt=float(opt_acc.total), q=q, matched_prob=matched_prob)
+    return ExactStats(graph=g, opt=opt, q=q, matched_prob=matched_prob)

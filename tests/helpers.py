@@ -322,3 +322,42 @@ def _reference_augment_from(root, verts, adj, match):
                 in_queue[match[to]] = True
                 queue.append(match[to])
     return False
+
+
+def reference_exact_stats(g: StochasticGraph):
+    """(opt, q, matched_prob) by the exact oracle's summation with numpy
+    element updates, the oracle for ``stochmatch.oracle.exact_stats``.
+
+    Every mask in counting order adds its probability times the matching
+    size to a scalar Kahan sum, and its probability to the Kahan sum of each
+    matched edge, kept in numpy float64 arrays.  Matchings come from
+    ``reference_max_matching``, so no mask table is read or filled.  The
+    package's oracle must return the same bits.
+    """
+    m = g.m
+    probs = np.ones(1 << m)
+    idx = np.arange(1 << m)
+    for e in range(m):
+        bit = (idx >> e) & 1 == 1
+        probs[bit] *= g.ps[e]
+        probs[~bit] *= 1.0 - g.ps[e]
+    opt, opt_comp = 0.0, 0.0
+    total, comp = np.zeros(m), np.zeros(m)
+    for mask in range(1 << m):
+        matched = reference_max_matching(g, [e for e in range(m) if mask >> e & 1]).edges
+        p = float(probs[mask])
+        y = p * len(matched) - opt_comp
+        t = opt + y
+        opt_comp = (t - opt) - y
+        opt = t
+        for e in sorted(matched):
+            y = p - comp[e]
+            t = total[e] + y
+            comp[e] = (t - total[e]) - y
+            total[e] = t
+    matched_prob = np.zeros(g.n)
+    for e in range(m):
+        u, v = g.endpoints(e)
+        matched_prob[u] += total[e]
+        matched_prob[v] += total[e]
+    return float(opt), total, matched_prob

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -203,7 +204,17 @@ def test_guard_errors_exit_2(capsys, tmp_path):
     (["gen", "--family", "path", "--params", "[3, 0.5]"], "params must be a dict"),
     (["vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}', "--samples", "200",
       "--walk-cap", "0"], "walk_cap"),
-], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0"])
+    (["oracle", "--graph", "/nonexistent.txt"],
+     "cannot read /nonexistent.txt: No such file or directory"),
+    (["certify", "--graph", "/nonexistent.txt"], "cannot read /nonexistent.txt"),
+    (["vim", "--graph", "/nonexistent.txt"], "cannot read /nonexistent.txt"),
+    (["experiment", "--config", "/nonexistent.json"],
+     "cannot read /nonexistent.json: No such file or directory"),
+    (["experiment", "--graph", "/nonexistent.txt"], "cannot read /nonexistent.txt"),
+    (["oracle", "--graph", os.path.dirname(__file__)], "Is a directory"),
+], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
+        "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
+        "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory"])
 def test_input_errors_exit_2_without_a_traceback(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stochmatch.generators import erdos_renyi
 from stochmatch.graph import Matching, Realization, StochasticGraph, sample_realization
-from stochmatch.matching import max_matching, mu
+from stochmatch.matching import matched_by_mask, max_matching, mu
 from stochmatch.randomness import RandomStream
 
 from helpers import (
@@ -270,6 +270,7 @@ def _reference_corpus():
 
 
 def _assert_equals_checked_construction(g, result):
+    # ``result.matched_vertex`` is built here, on first use, from the edges.
     checked = Matching(g, result.edges)
     assert checked == result
     assert checked.matched_vertex == result.matched_vertex
@@ -294,3 +295,15 @@ def test_public_constructor_still_rejects_vertex_reuse():
     extra = next(e for e in range(g.m) if e not in perfect)
     with pytest.raises(ValueError, match="vertex reuse"):
         Matching(g, perfect | {extra})
+
+
+def test_mask_path_equals_max_matching_on_every_mask():
+    # The reversed path numbers its edges against vertex order, so its matched
+    # edge ids come out of the blossom in descending order.
+    reversed_path = StochasticGraph(9, path_graph(8).edges[::-1])
+    for g in (erdos_renyi(12, 0.12, (0.3, 0.9), seed=2), clique_graph(5), reversed_path):
+        assert g.m <= 14 and g.mask_table == {}  # a fresh graph: every mask misses
+        for mask in range(1 << g.m):
+            ids = [e for e in range(g.m) if mask >> e & 1]
+            assert matched_by_mask(g, mask) == tuple(sorted(max_matching(g, ids).edges))
+        assert len(g.mask_table) == 1 << g.m

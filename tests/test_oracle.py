@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
-from stochmatch.decomposition import classify
+from stochmatch.decomposition import classify, estimate_q
 from stochmatch.errors import InstanceTooLargeError
+from stochmatch.generators import erdos_renyi
 from stochmatch.graph import StochasticGraph
 from stochmatch.oracle import exact_stats
 
-from helpers import brute_force_opt, path2, small_corpus, two_single_edges
+from helpers import (
+    brute_force_opt,
+    clique_graph,
+    path2,
+    reference_exact_stats,
+    small_corpus,
+    two_single_edges,
+)
 
 
 def test_single_edge():
@@ -102,3 +110,23 @@ def test_mass_conservation_per_vertex():
         total = split.c_v + split.n_v + ignored_v
         assert np.allclose(total, s.matched_prob, atol=1e-11)
         assert np.all(total <= 1.0 + 1e-11)
+
+
+def _assert_bits_equal(stats, ref):
+    opt, q, matched_prob = ref
+    assert stats.opt == opt
+    assert stats.q.tobytes() == q.tobytes()
+    assert stats.matched_prob.tobytes() == matched_prob.tobytes()
+
+
+def test_exact_stats_bits_equal_the_numpy_element_reference():
+    for g in (StochasticGraph(4, []), StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)]),
+              clique_graph(5)):  # edgeless, path3, every p = 1
+        _assert_bits_equal(exact_stats(g), reference_exact_stats(g))
+    g = erdos_renyi(12, 0.12, (0.3, 0.9), seed=2)
+    ref = reference_exact_stats(g)
+    _assert_bits_equal(exact_stats(g), ref)
+    warm = StochasticGraph(g.n, g.edges)
+    estimate_q(warm, 2000, seed=0)
+    assert 0 < len(warm.mask_table) < 2**warm.m
+    _assert_bits_equal(exact_stats(warm), ref)

@@ -1,11 +1,13 @@
-"""The benchmark tracer's wrap targets still exist in the package."""
+"""The benchmark tracer's wrap targets still exist in the package, and a
+traced pipeline run completes."""
 
 import importlib.util
 import os
 import sys
+from time import perf_counter
 
 import stochmatch.cli  # noqa: F401 - the tracer wraps cli.main
-from stochmatch import randomness
+from stochmatch import harness, randomness
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -51,3 +53,23 @@ def test_tracer_wraps_every_target_and_restores_them():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_pipeline_completes_and_counts_matchings():
+    tracing = _load_tracing()
+    config = harness.ExperimentConfig(
+        graph_family="path", graph_params={"n": 4, "p": 0.5}, epsilon=0.3, seed=3,
+        q_samples=500, vim_runs=10, cert_runs=5, gamma_samples=20, ratio_outer=2,
+        ratio_inner=3, ratio_denom=20, alpha=2, depth=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        start = perf_counter()
+        report = harness.run_pipeline(config)  # the traced binding
+        wall_s = perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert report.stages["graph"]["m"] <= 10 and "oracle" in report.stages
+    metrics = tracer.metrics(wall_s)
+    assert metrics["matching.calls"] >= 1
+    assert metrics["oracle.masks"] == 2 ** report.stages["graph"]["m"]
