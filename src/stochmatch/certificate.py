@@ -251,7 +251,6 @@ class CertificateRun:
     x_crucial: float
     z_size: int
     x_v: np.ndarray
-    y_v: np.ndarray
     y_valid: bool
     blossom_ok: bool
     edmonds_ok: bool

@@ -1,10 +1,22 @@
 """Batch command-line interface.
 
-Subcommands mirror the pipeline stages: gen, oracle, decompose, sparsify,
-contract, vim, certify, experiment.  The vim and certify subcommands print
-the reports of the harness's independence test and certificate batch.
-Output is JSON by default; csv writes one row per leaf of the payload, the
-dotted key path and the JSON-encoded value.  The experiment subcommand exits
+Subcommands mirror the pipeline stages.  Each builds one ``ExperimentConfig``
+from the flags given (experiment: or from ``--config FILE``) and takes its
+graph, VIM parameters, R and every default from it.  The flags are
+
+  all             --graph --family --params --seed
+  oracle          --out --cap
+  decompose       --epsilon --samples --out --t0 --gamma --paper-schedule
+  sparsify        --out --R --baseline
+  contract        --epsilon --out --opt
+  vim, certify    the decompose flags, --force-paper-constants --paper-constants
+                  --alpha --depth --walk-cap --gamma-samples --runs (certify: --R)
+  experiment      --epsilon --samples --out --force-paper-constants
+                  --paper-constants --config
+
+vim and certify print the reports of the harness's independence test and
+certificate batch.  Output is JSON by default; csv writes one row per leaf of
+the payload, the dotted key path and the JSON-encoded value.  experiment exits
 nonzero when any non-informational check fails.  Bad input (an unreadable
 graph or config file included) and tripped guards print ``error: <message>``
 to stderr and exit 2, without a traceback.
@@ -16,12 +28,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 from .certificate import certificate_size_report
 from .decomposition import classify, estimate_q, threshold_schedule
 from .errors import StochmatchError
-from .generators import generate
-from .graph import StochasticGraph
 from .harness import (
     ExperimentConfig,
     independence_test,
@@ -32,22 +43,31 @@ from .harness import (
 )
 from .oracle import exact_stats
 from .reduction import contract
-from .sparsifier import build_baseline_iterative, build_q, default_R
-from .vim import VimEngine, VimParams
+from .sparsifier import build_baseline_iterative, build_q
+from .vim import VimEngine
 
 __all__ = ["main"]
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
-def _load_graph(args) -> StochasticGraph:
-    if getattr(args, "graph", None):
-        try:
-            return StochasticGraph.from_file(args.graph)
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.graph}: {exc.strerror}") from exc
-    if getattr(args, "family", None):
-        params = json.loads(args.params) if args.params else {}
-        return generate(args.family, params, args.seed)
-    raise SystemExit("provide --graph FILE or --family NAME [--params JSON]")
+
+def _config(args) -> ExperimentConfig:
+    """The run's config: the file named by --config, or the config flags given."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    path = getattr(args, "config", None)
+    if not path:
+        if "graph_params" in given:
+            given["graph_params"] = json.loads(given["graph_params"] or "{}")
+        return ExperimentConfig(**given)
+    if given:
+        raise ValueError(f"--config {path} holds the whole run; set {sorted(given)} "
+                         f"in the file instead of by flag")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    return ExperimentConfig.from_dict(data)
 
 
 def _emit(args, payload):
@@ -69,54 +89,31 @@ def _flatten(payload, prefix=""):
     return out
 
 
-def _add_schedule(parser):
-    parser.add_argument("--t0", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=0.3)
-    parser.add_argument("--paper-schedule", action="store_true")
-
-
-def _add_common(parser):
-    parser.add_argument("--graph", help="graph file in the standard format")
-    parser.add_argument("--family", help="generator family name")
-    parser.add_argument("--params", help="generator params as JSON")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=float, default=0.3)
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--out", choices=("json", "csv"), default="json")
-    parser.add_argument(
-        "--force-paper-constants", action="store_true",
-        help="run past the paper-scale parameter guards",
-    )
-
-
-def _cmd_gen(args):
-    g = _load_graph(args)
-    sys.stdout.write(g.to_text())
+def _cmd_gen(args, config):
+    sys.stdout.write(config.load_graph().to_text())
     return 0
 
 
-def _cmd_oracle(args):
-    g = _load_graph(args)
-    stats = exact_stats(g, cap=args.cap)
+def _cmd_oracle(args, config):
+    stats = exact_stats(config.load_graph(), cap=args.cap)
     _emit(args, {"opt": stats.opt, "q": stats.q.tolist(),
                  "matched_prob": stats.matched_prob.tolist()})
     return 0
 
 
-def _decompose(args, g):
-    est = estimate_q(g, args.samples, args.seed)
+def _decompose(args, config, g):
+    est = estimate_q(g, config.q_samples, config.seed)
     schedule = threshold_schedule(
-        est.q_hat, est.opt_hat, args.epsilon, g.p_min,
+        est.q_hat, est.opt_hat, config.epsilon, g.p_min,
         f_shape="paper" if args.paper_schedule else "geometric",
-        t0=args.t0, gamma=args.gamma,
+        t0=config.t0, gamma=config.gamma,
     )
-    cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, args.epsilon)
+    cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, config.epsilon)
     return est, schedule, cls
 
 
-def _cmd_decompose(args):
-    g = _load_graph(args)
-    est, schedule, cls = _decompose(args, g)
+def _cmd_decompose(args, config):
+    est, schedule, cls = _decompose(args, config, config.load_graph())
     _emit(args, {
         "opt_hat": est.opt_hat,
         "tau_minus": schedule.tau_minus,
@@ -131,20 +128,19 @@ def _cmd_decompose(args):
     return 0
 
 
-def _cmd_sparsify(args):
-    g = _load_graph(args)
+def _cmd_sparsify(args, config):
+    g = config.load_graph()
     if args.baseline == "iterative":
-        q = build_baseline_iterative(g, args.R)
+        q = build_baseline_iterative(g, config.R)
     else:
-        q = build_q(g, args.R, args.seed)
+        q = build_q(g, config.R, config.seed)
     _emit(args, {"R": q.R, "members": q.member_edges(), "t": q.t.tolist(),
                  "max_degree": q.max_member_degree()})
     return 0
 
 
-def _cmd_contract(args):
-    g = _load_graph(args)
-    c = contract(g, args.epsilon, args.opt, args.seed)
+def _cmd_contract(args, config):
+    c = contract(config.load_graph(), config.epsilon, args.opt, config.seed)
     _emit(args, {
         "k": c.k,
         "buckets": c.b.tolist(),
@@ -154,23 +150,13 @@ def _cmd_contract(args):
     return 0
 
 
-def _vim_params(args) -> VimParams:
-    if args.paper_constants:
-        return VimParams.paper(args.epsilon, force=args.force_paper_constants,
-                               gamma_samples=args.gamma_samples)
-    return VimParams(
-        epsilon=args.epsilon, alpha=args.alpha, depth=args.depth,
-        walk_cap=args.walk_cap, gamma_samples=args.gamma_samples,
-    )
-
-
-def _cmd_vim(args):
+def _cmd_vim(args, config):
     if args.runs < 2:
         raise StochmatchError(f"vim needs --runs >= 2 to estimate covariances, got {args.runs}")
-    g = _load_graph(args)
-    _est, _schedule, cls = _decompose(args, g)
-    params = _vim_params(args)
-    engine = VimEngine(cls, params, args.seed)
+    g = config.load_graph()
+    _est, _schedule, cls = _decompose(args, config, g)
+    params = config.vim_params()
+    engine = VimEngine(cls, params, config.seed)
     report = independence_test(g, cls, engine, args.runs)
     # E|Z_r| is half the summed per-vertex matched frequency at level r.
     _emit(args, {
@@ -185,14 +171,14 @@ def _cmd_vim(args):
     return 0
 
 
-def _cmd_certify(args):
-    g = _load_graph(args)
-    est, schedule, cls = _decompose(args, g)
-    R = default_R(schedule.tau_minus, cap=4096) if args.R is None else args.R
-    engine = VimEngine(cls, _vim_params(args), args.seed)
-    records = run_certificate_batch(g, cls, engine, R, args.runs, args.seed)
-    rep = certificate_size_report(records, args.epsilon, p_min=g.p_min)
-    freport = run_f_property_batch(g, cls, R, args.runs, args.seed, q_se=est.se_q)
+def _cmd_certify(args, config):
+    g = config.load_graph()
+    est, schedule, cls = _decompose(args, config, g)
+    R = config.sparsifier_R(schedule.tau_minus)
+    engine = VimEngine(cls, config.vim_params(), config.seed)
+    records = run_certificate_batch(g, cls, engine, R, args.runs, config.seed)
+    rep = certificate_size_report(records, config.epsilon, p_min=g.p_min)
+    freport = run_f_property_batch(g, cls, R, args.runs, config.seed, q_se=est.se_q)
     _emit(args, {
         "mean_x": rep.mean_x,
         "mean_y": rep.mean_y,
@@ -212,26 +198,7 @@ def _cmd_certify(args):
     return 0
 
 
-def _cmd_experiment(args):
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
-        config = ExperimentConfig.from_dict(data)
-    else:
-        params = json.loads(args.params) if args.params else {}
-        config = ExperimentConfig(
-            graph_family=args.family,
-            graph_params=params,
-            graph_file=args.graph,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            q_samples=args.samples,
-            mode="paper" if args.paper_constants else "desk",
-            force_paper=args.force_paper_constants,
-        )
+def _cmd_experiment(args, config):
     report = run_pipeline(config)
     payload = report.to_dict()
     payload["fingerprint"] = report.fingerprint()
@@ -246,51 +213,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit a generated graph in the standard format")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_gen)
+    def command(name, fn, flags, help=None):
+        # Flags without a default of their own stay out of the namespace when
+        # absent, so the config supplies the default.
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--graph", dest="graph_file", help="graph file in the standard format")
+        p.add_argument("--family", dest="graph_family", help="generator family name")
+        p.add_argument("--params", dest="graph_params", help="generator params as JSON")
+        p.add_argument("--seed", type=int)
+        if "epsilon" in flags:
+            p.add_argument("--epsilon", type=float)
+        if "samples" in flags:
+            p.add_argument("--samples", dest="q_samples", type=int)
+        if "out" in flags:
+            p.add_argument("--out", choices=("json", "csv"), default="json")
+        if "paper" in flags:
+            p.add_argument("--force-paper-constants", dest="force_paper", action="store_true",
+                           help="run past the paper-scale parameter guards")
+        if "schedule" in flags:
+            p.add_argument("--t0", type=float)
+            p.add_argument("--gamma", type=float)
+            p.add_argument("--paper-schedule", action="store_true", default=False)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("oracle", help="exact opt and q by full enumeration")
-    _add_common(p)
+    command("gen", _cmd_gen, (), help="emit a generated graph in the standard format")
+
+    p = command("oracle", _cmd_oracle, ("out",), help="exact opt and q by full enumeration")
     p.add_argument("--cap", type=int, default=20, help="edge-count enumeration cap")
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("decompose", help="estimate q, pick thresholds, classify")
-    _add_common(p)
-    _add_schedule(p)
-    p.set_defaults(fn=_cmd_decompose)
+    command("decompose", _cmd_decompose, ("epsilon", "samples", "out", "schedule"),
+            help="estimate q, pick thresholds, classify")
 
-    p = sub.add_parser("sparsify", help="build the sampled-union sparsifier")
-    _add_common(p)
+    p = command("sparsify", _cmd_sparsify, ("out",), help="build the sampled-union sparsifier")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--baseline", choices=("iterative",), default=None)
-    p.set_defaults(fn=_cmd_sparsify)
 
-    p = sub.add_parser("contract", help="vertex sparsification")
-    _add_common(p)
+    p = command("contract", _cmd_contract, ("epsilon", "out"), help="vertex sparsification")
     p.add_argument("--opt", type=float, required=True, help="opt estimate")
-    p.set_defaults(fn=_cmd_contract)
 
     for name, fn in (("vim", _cmd_vim), ("certify", _cmd_certify)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        _add_schedule(p)
-        p.add_argument("--alpha", type=int, default=7)
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--walk-cap", dest="walk_cap", type=int, default=3)
-        p.add_argument("--gamma-samples", dest="gamma_samples", type=int, default=300)
+        p = command(name, fn, ("epsilon", "samples", "out", "paper", "schedule"))
+        p.add_argument("--alpha", type=int)
+        p.add_argument("--depth", type=int)
+        p.add_argument("--walk-cap", dest="walk_cap", type=int)
+        p.add_argument("--gamma-samples", dest="gamma_samples", type=int)
         p.add_argument("--runs", type=int, default=100)
-        p.add_argument("--paper-constants", action="store_true")
+        p.add_argument("--paper-constants", dest="mode", action="store_const", const="paper")
         if name == "certify":
-            p.add_argument("--R", type=int, default=None,
+            p.add_argument("--R", type=int,
                            help="sparsifier width; defaults to the guarded 1/(2 tau_minus)")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("experiment", help="full pipeline with the check table")
-    _add_common(p)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--paper-constants", action="store_true")
-    p.set_defaults(fn=_cmd_experiment)
+    p = command("experiment", _cmd_experiment, ("epsilon", "samples", "out", "paper"),
+                help="full pipeline with the check table")
+    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--paper-constants", dest="mode", action="store_const", const="paper")
 
     return parser
 
@@ -299,7 +276,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _config(args))
     except (StochmatchError, ValueError) as exc:
         # Bad input (an unknown family, a missing or out-of-range parameter)
         # is reported like a guard error, without a traceback.

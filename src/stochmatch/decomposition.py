@@ -231,7 +231,7 @@ def threshold_schedule(
 class EdgeClassification:
     """Edge labels plus the quantities the downstream construction needs."""
 
-    def __init__(self, graph, q, tau_minus, tau_plus, epsilon, labels, c_v, n_v, lam, c_lambda):
+    def __init__(self, graph, q, tau_minus, tau_plus, epsilon, labels, c_v, n_v, lam, delta_C):
         self.graph = graph
         self.q = np.asarray(q, dtype=float)
         self.tau_minus = float(tau_minus)
@@ -241,12 +241,10 @@ class EdgeClassification:
         self.c_v = np.asarray(c_v, dtype=float)
         self.n_v = np.asarray(n_v, dtype=float)
         self.lam = float(lam)
-        self.c_lambda = float(c_lambda)
         self.crucial_edges = tuple(e for e, lab in enumerate(labels) if lab == CRUCIAL)
         self.noncrucial_edges = tuple(e for e, lab in enumerate(labels) if lab == NONCRUCIAL)
         self.ignored_edges = tuple(e for e, lab in enumerate(labels) if lab == IGNORED)
-        deg = graph.degrees(self.crucial_edges)
-        self.delta_C = int(deg.max()) if deg.size else 0
+        self.delta_C = int(delta_C)
         self._cadj = None
         self._dist = {}
 
@@ -346,5 +344,5 @@ def classify(
     else:
         raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
     return EdgeClassification(
-        g, q, tau_minus, tau_plus, epsilon, labels, c_v, n_v, lam, c_lambda
+        g, q, tau_minus, tau_plus, epsilon, labels, c_v, n_v, lam, delta_c
     )

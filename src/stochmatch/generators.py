@@ -109,17 +109,26 @@ def two_far_components(gadget: str = "edge", p=0.5) -> StochasticGraph:
     return StochasticGraph(2 * size, edges)
 
 
+def _prob(p):
+    """A probability, or a (low, high) range of two, as floats."""
+    if isinstance(p, (tuple, list)):
+        if len(p) != 2:
+            raise TypeError("a probability range has two numbers")
+        return float(p[0]), float(p[1])
+    return float(p)
+
+
 _FAMILIES = {
-    "erdos_renyi": lambda params, seed: erdos_renyi(
-        int(params["n"]), float(params["edge_density"]), params["p"], seed
+    "erdos_renyi": lambda arg, seed: erdos_renyi(
+        arg("n", int), arg("edge_density", float), arg("p", _prob), seed
     ),
-    "clique": lambda params, seed: clique(int(params["n"]), params["p"]),
-    "path": lambda params, seed: path(int(params["n"]), params["p"]),
-    "bipartite_random": lambda params, seed: bipartite_random(
-        int(params["n1"]), int(params["n2"]), float(params["density"]), params["p"], seed
+    "clique": lambda arg, seed: clique(arg("n", int), arg("p", _prob)),
+    "path": lambda arg, seed: path(arg("n", int), arg("p", _prob)),
+    "bipartite_random": lambda arg, seed: bipartite_random(
+        arg("n1", int), arg("n2", int), arg("density", float), arg("p", _prob), seed
     ),
-    "two_far_components": lambda params, seed: two_far_components(
-        params.get("gadget", "edge"), params.get("p", 0.5)
+    "two_far_components": lambda arg, seed: two_far_components(
+        arg("gadget", str, "edge"), arg("p", _prob, 0.5)
     ),
 }
 
@@ -127,8 +136,9 @@ _FAMILIES = {
 def generate(family: str, params: dict, seed=0) -> StochasticGraph:
     """Dispatch on family name; used by the CLI and config files.
 
-    An unknown family, params that are not a dict, or a missing parameter
-    raise ``ValueError``."""
+    An unknown family, params that are not a dict, a missing parameter, or
+    one that is not a number (``p``: a number or a range of two) raise
+    ``ValueError`` naming the family and the parameter."""
     try:
         builder = _FAMILIES[family]
     except KeyError:
@@ -137,7 +147,16 @@ def generate(family: str, params: dict, seed=0) -> StochasticGraph:
         ) from None
     if not isinstance(params, dict):
         raise ValueError(f"params must be a dict of named values, got {type(params).__name__}")
-    try:
-        return builder(params, seed)
-    except KeyError as exc:
-        raise ValueError(f"family {family!r} needs parameter {exc.args[0]!r}") from None
+
+    def arg(name, kind, default=None):
+        if name not in params and default is None:
+            raise ValueError(f"family {family!r} needs parameter {name!r}")
+        value = params.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            what = "a number or a range of two numbers" if kind is _prob else "a number"
+            raise ValueError(f"family {family!r}: parameter {name!r} must be {what}, "
+                             f"got {value!r}") from None
+
+    return builder(arg, seed)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -92,14 +92,13 @@ def estimate_ratio(
     build_stream = RandomStream(seed, ("ratio-build",))
     eval_stream = RandomStream(seed, ("ratio-eval",))
     denom_stream = RandomStream(seed, ("ratio-denom",))
+    if builder == "baseline_iterative":
+        baseline = build_baseline_iterative(g, R)  # deterministic: one Q for every outer seed
+    elif builder != "algorithm1":
+        raise ValueError(f"unknown builder {builder!r}")
     per_q_means = []
     for o in range(outer):
-        if builder == "algorithm1":
-            q = build_q(g, R, build_stream.child(o))
-        elif builder == "baseline_iterative":
-            q = build_baseline_iterative(g, R)
-        else:
-            raise ValueError(f"unknown builder {builder!r}")
+        q = build_q(g, R, build_stream.child(o)) if builder == "algorithm1" else baseline
         vals = [realize_and_match_q(q, eval_stream.child(o, i))[1] for i in range(inner)]
         per_q_means.append(float(np.mean(vals)))
     num_mean, num_se = mean_se(per_q_means)
@@ -281,7 +280,6 @@ def run_certificate_batch(
                 x_crucial=x_crucial,
                 z_size=len(z),
                 x_v=x.x_v.copy(),
-                y_v=y.x_v.copy(),
                 y_valid=bool(np.all(y.x_v <= 1.0 + 1e-12)),
                 blossom_ok=blossom.ok,
                 edmonds_ok=bool(mu_q >= (1.0 - eps) * y.size - 1e-12),
@@ -341,6 +339,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """A config from a JSON object of field values; unknown keys raise ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a config is a JSON object of fields, not a {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -354,7 +358,7 @@ class ExperimentConfig:
                 raise ValueError(f"cannot read {self.graph_file}: {exc.strerror}") from exc
         if self.graph_family:
             return generate(self.graph_family, self.graph_params, self.seed)
-        raise ValueError("config needs graph_file or graph_family")
+        raise ValueError("no graph: set graph_file (--graph) or graph_family (--family)")
 
     def vim_params(self) -> VimParams:
         if self.mode == "paper":
@@ -372,6 +376,10 @@ class ExperimentConfig:
             overrides["walk_cap"] = self.walk_cap
         return VimParams(epsilon=self.epsilon, gamma_samples=self.gamma_samples,
                          **overrides)
+
+    def sparsifier_R(self, tau_minus: float) -> int:
+        """The sparsifier width: ``R``, else ``default_R(tau_minus)`` under ``default_r_cap``."""
+        return default_R(tau_minus, cap=self.default_r_cap) if self.R is None else self.R
 
 
 def assumption_holds(opt_hat: float, epsilon: float, n: int) -> bool:
@@ -398,15 +406,12 @@ class ExperimentReport:
             "timings": self.timings,
         }
 
-    def to_json(self, include_timings: bool = True) -> str:
-        data = self.to_dict()
-        if not include_timings:
-            data = {k: v for k, v in data.items() if k != "timings"}
-        return json.dumps(data, sort_keys=True, indent=2, default=jsonify)
-
     def fingerprint(self) -> str:
         """Digest of everything except wall-clock timings."""
-        return hashlib.sha256(self.to_json(include_timings=False).encode()).hexdigest()
+        data = {k: v for k, v in self.to_dict().items() if k != "timings"}
+        return hashlib.sha256(
+            json.dumps(data, sort_keys=True, indent=2, default=jsonify).encode()
+        ).hexdigest()
 
 
 def jsonify(obj):
@@ -536,9 +541,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         else "contract the graph (vertex sparsification) before sparsifying",
     )
 
-    R = config.R
-    if R is None:
-        R = default_R(schedule.tau_minus, cap=config.default_r_cap)
+    R = config.sparsifier_R(schedule.tau_minus)
     q_sub = timer.run("build_q", lambda: build_q(g, R, config.seed))
     stages["build_q"] = {
         "R": R,

@@ -120,7 +120,8 @@ class VimParams:
                 f"depth={depth}, walk_cap={walk_cap}, recursion tree about "
                 f"2^{work_bits:.0f} nodes; guards are alpha_cap={_PAPER_ALPHA_CAP}, "
                 f"depth_cap={_PAPER_DEPTH_CAP}, work_bits_cap={_PAPER_WORK_BITS_CAP}; pass "
-                f"force=True or use desk-scale parameters"
+                f"force=True (the CLI flag --force-paper-constants, the config key "
+                f"force_paper) or use desk-scale parameters"
             )
         return cls(epsilon=epsilon, alpha=alpha, depth=depth, walk_cap=walk_cap, **overrides)
 

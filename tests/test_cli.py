@@ -1,16 +1,18 @@
 """CLI smoke tests over the subcommands."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 
 import pytest
 
-from stochmatch.cli import main
+from stochmatch.cli import build_parser, main
 from stochmatch.decomposition import classify, estimate_q, threshold_schedule
 from stochmatch.generators import path
-from stochmatch.harness import independence_test
+from stochmatch.harness import ExperimentConfig, independence_test
 from stochmatch.vim import VimEngine, VimParams
 
 
@@ -212,13 +214,64 @@ def test_guard_errors_exit_2(capsys, tmp_path):
      "cannot read /nonexistent.json: No such file or directory"),
     (["experiment", "--graph", "/nonexistent.txt"], "cannot read /nonexistent.txt"),
     (["oracle", "--graph", os.path.dirname(__file__)], "Is a directory"),
+    (["gen", "--family", "path", "--params", '{"n": 3, "p": [0.5]}'],
+     "family 'path': parameter 'p' must be a number or a range of two numbers"),
+    (["gen", "--family", "path", "--params", '{"n": 3, "p": null}'],
+     "family 'path': parameter 'p' must be a number or a range of two numbers, got None"),
+    (["gen", "--family", "path", "--params", '{"n": null, "p": 0.5}'],
+     "family 'path': parameter 'n' must be a number, got None"),
+    (["experiment", "--config", "TMP/unknown_key.json"], "unknown config keys ['nosuch']"),
+    (["experiment", "--config", "TMP/list.json"], "a config is a JSON object"),
+    (["experiment", "--config", "TMP/unknown_key.json", "--seed", "5"],
+     "set ['seed'] in the file instead of by flag"),
+    (["gen"], "no graph: set graph_file (--graph) or graph_family (--family)"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
-        "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory"])
-def test_input_errors_exit_2_without_a_traceback(capsys, argv, message):
-    code = main(argv)
+        "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",
+        "p_range_of_one", "p_null", "n_null", "config_unknown_key", "config_not_an_object",
+        "config_with_input_flags", "gen_without_a_graph"])
+def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message):
+    (tmp_path / "unknown_key.json").write_text('{"graph_family": "path", "nosuch": 1}')
+    (tmp_path / "list.json").write_text('[1, 2]')
+    code = main([a.replace("TMP", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
+
+
+_GRAPH_FLAGS = {"--graph", "--family", "--params", "--seed"}
+_DECOMPOSE_FLAGS = _GRAPH_FLAGS | {"--epsilon", "--samples", "--out", "--t0", "--gamma",
+                                   "--paper-schedule"}
+_VIM_FLAGS = _DECOMPOSE_FLAGS | {"--force-paper-constants", "--paper-constants", "--alpha",
+                                 "--depth", "--walk-cap", "--gamma-samples", "--runs"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {name: [a for a in p._actions if a.dest != "help"]
+               for name, p in commands.choices.items()}
+    flags = {name: {opt for a in acts for opt in a.option_strings}
+             for name, acts in actions.items()}
+    assert flags == {
+        "gen": _GRAPH_FLAGS,
+        "oracle": _GRAPH_FLAGS | {"--out", "--cap"},
+        "decompose": _DECOMPOSE_FLAGS,
+        "sparsify": _GRAPH_FLAGS | {"--out", "--R", "--baseline"},
+        "contract": _GRAPH_FLAGS | {"--epsilon", "--out", "--opt"},
+        "vim": _VIM_FLAGS,
+        "certify": _VIM_FLAGS | {"--R"},
+        "experiment": _GRAPH_FLAGS | {"--epsilon", "--samples", "--out",
+                                      "--force-paper-constants", "--paper-constants",
+                                      "--config"},
+    }
+    assert sum(len(opts) for opts in flags.values()) == 79
+    # A flag that sets a config field has no default of its own, so an absent
+    # flag leaves the field at ExperimentConfig's default.
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for acts in actions.values():
+        for a in acts:
+            if a.dest in config_fields and not a.required:
+                assert a.default is argparse.SUPPRESS, a.option_strings

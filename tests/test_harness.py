@@ -24,7 +24,7 @@ from stochmatch.harness import (
     run_pipeline,
 )
 from stochmatch.oracle import exact_stats
-from stochmatch import vim
+from stochmatch import harness, vim
 from stochmatch.vim import VimEngine, VimParams
 
 
@@ -79,11 +79,16 @@ def test_ratio_single_edge_hand_value():
     assert abs(est.ratio - 0.5) <= 3 * est.se + 0.02
 
 
-def test_ratio_baseline_runs():
+def test_ratio_baseline_runs(monkeypatch):
+    built = []
+    original = harness.build_baseline_iterative
+    monkeypatch.setattr(harness, "build_baseline_iterative",
+                        lambda g, R: built.append(R) or original(g, R))
     g = clique(6, 0.5)
     est = estimate_ratio(g, "baseline_iterative", R=2, outer=3, inner=20,
                          denom_samples=200, seed=1)
     assert 0.0 < est.ratio <= 1.2
+    assert built == [2]  # the deterministic baseline is built once, not once per outer seed
 
 
 def test_concentration_deterministic_graph():

@@ -456,6 +456,14 @@ def test_paper_params_guard():
     assert p.walk_cap == 3
 
 
+def test_paper_params_guard_names_the_cli_flag_and_config_key():
+    with pytest.raises(ParameterOverflowError) as info:
+        VimParams.paper(0.1)
+    message = str(info.value)
+    assert "pass force=True" in message
+    assert "--force-paper-constants" in message and "force_paper" in message
+
+
 def test_slot_exchangeability():
     # |M'_i| must be identically distributed across slots (two-sample, 3 sigma).
     cls = single_edge_cls(p=0.5)
