@@ -1,10 +1,12 @@
 """Fractional-matching certificate around the crucial matching.
 
 Crucial edges carry value 1 exactly when they are in both the constructed
-matching and the sparsifier.  A non-crucial edge carries f_e (its matching
-multiplicity in the sparsifier, capped) divided by the probability that it is
-usable: realized, with both endpoints unmatched, which requires the endpoints
-to be far apart in the crucial graph so those events are independent.  The
+matching and the sparsifier.  A non-crucial edge carries f_e divided by the
+probability that it is usable: realized, with both endpoints unmatched, which
+requires the endpoints to be far apart in the crucial graph so those events
+are independent.  ``compute_f`` returns f as one array over the edges:
+f_e = t_e / R, the edge's matching multiplicity in the sparsifier over R, on
+non-crucial edges at or below the 1/sqrt(eps R) cap, and 0 elsewhere.  The
 scaled assignment y zeroes out vertices whose sum overshoots 1 + epsilon,
 making it a valid fractional matching per run.
 """
@@ -22,7 +24,6 @@ from .graph import Realization, StochasticGraph
 from .sparsifier import SubgraphQ
 
 __all__ = [
-    "FValues",
     "FractionalAssignment",
     "compute_f",
     "build_x",
@@ -43,38 +44,17 @@ _PROB_FLOOR = 1e-6
 _SUBSET_CAP = 500_000
 
 
-@dataclass
-class FValues:
-    """Per-edge f values plus the integer multiplicities they came from."""
-
-    f: np.ndarray
-    t: np.ndarray
-    R: int
-    cap: float
-
-    def f_v(self, g: StochasticGraph) -> np.ndarray:
-        out = np.zeros(g.n)
-        for e in np.flatnonzero(self.f):
-            u, v = g.endpoints(e)
-            out[u] += self.f[e]
-            out[v] += self.f[e]
-        return out
-
-
-def compute_f(q: SubgraphQ, classification: EdgeClassification, epsilon: float) -> FValues:
-    """f_e = t_e / R on non-crucial edges, zeroed above the 1/sqrt(eps R) cap."""
+def compute_f(q: SubgraphQ, classification: EdgeClassification, epsilon: float) -> np.ndarray:
+    """Per-edge f: t_e / R on non-crucial edges whose ratio is positive and at
+    most the 1/sqrt(eps R) cap, and 0 on every other edge."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    g = q.parent
     cap = 1.0 / math.sqrt(epsilon * q.R)
-    f = np.zeros(g.m)
-    noncrucial = set(classification.noncrucial_edges)
-    for e in range(g.m):
-        if e in noncrucial and q.t[e] > 0:
-            ratio = q.t[e] / q.R
-            if ratio <= cap:
-                f[e] = ratio
-    return FValues(f=f, t=q.t.copy(), R=q.R, cap=cap)
+    f = np.zeros(q.parent.m)
+    edges = np.asarray(classification.noncrucial_edges, dtype=np.int64)
+    ratio = q.t[edges] / q.R
+    f[edges] = np.where((ratio > 0) & (ratio <= cap), ratio, 0.0)
+    return f
 
 
 class FractionalAssignment:
@@ -90,12 +70,7 @@ class FractionalAssignment:
             raise ValueError("assignment values must be nonnegative")
         self.graph = graph
         self.values = values
-        x_v = np.zeros(graph.n)
-        for e in np.flatnonzero(values):
-            u, v = graph.endpoints(e)
-            x_v[u] += values[e]
-            x_v[v] += values[e]
-        self.x_v = x_v
+        self.x_v = graph.vertex_sums(values)
 
     @property
     def size(self) -> float:
@@ -110,13 +85,14 @@ def build_x(
     z_edges,
     realization: Realization,
     classification: EdgeClassification,
-    f: FValues,
+    f: np.ndarray,
     x_probs,
 ) -> FractionalAssignment:
     """Assemble the expected fractional matching for one run.
 
     ``z_edges`` is the crucial matching (edge ids), ``realization`` the
-    realization of the whole graph, ``x_probs`` the per-vertex estimates of
+    realization of the whole graph, ``f`` the per-edge array of
+    ``compute_f``, ``x_probs`` the per-vertex estimates of
     Pr[v is matched in the crucial matching].
     """
     g = q.parent
@@ -144,12 +120,12 @@ def build_x(
         if e in z_edges and q.member[e]:
             values[e] = 1.0
     for e in far:
-        if f.f[e] <= 0.0 or not realization.present[e]:
+        if f[e] <= 0.0 or not realization.present[e]:
             continue
         u, v = g.endpoints(e)
         if u in z_vertices or v in z_vertices:
             continue
-        values[e] = f.f[e] / (g.ps[e] * (1.0 - x_probs[u]) * (1.0 - x_probs[v]))
+        values[e] = f[e] / (g.ps[e] * (1.0 - x_probs[u]) * (1.0 - x_probs[v]))
     return FractionalAssignment(g, values)
 
 
@@ -344,7 +320,7 @@ def test_f_properties(
 
     per_edge = []
     for e in classification.noncrucial_edges:
-        samples = np.array([fv.f[e] for fv in fvals])
+        samples = np.array([fv[e] for fv in fvals])
         mean_f = float(samples.mean())
         se = float(samples.std() / math.sqrt(n_runs))
         lower = (1.0 - epsilon) * q_ref[e] - 3.0 * (se + q_se[e])
@@ -353,11 +329,7 @@ def test_f_properties(
 
     vertex_sum_ok = True
     for qq in batch:
-        per_vertex = np.zeros(g.n, dtype=np.int64)
-        for e in np.flatnonzero(qq.t):
-            u, v = g.endpoints(e)
-            per_vertex[u] += qq.t[e]
-            per_vertex[v] += qq.t[e]
+        per_vertex = g.vertex_sums(qq.t)
         if per_vertex.size and per_vertex.max() > qq.R:
             vertex_sum_ok = False
     return FPropertyReport(per_edge=per_edge, vertex_sum_ok=vertex_sum_ok)

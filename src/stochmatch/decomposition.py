@@ -20,6 +20,7 @@ from .errors import ParameterOverflowError
 from .graph import Realization, StochasticGraph
 from .matching import matched_by_mask, max_matching
 from .randomness import as_stream
+from .stats import binomial_se
 
 __all__ = [
     "QEstimate",
@@ -71,8 +72,7 @@ class QEstimate:
 
     @property
     def se_q(self) -> np.ndarray:
-        q = self.q_hat
-        return np.sqrt(q * (1.0 - q) / self.samples)
+        return binomial_se(self.q_hat, self.samples)
 
     @property
     def se_opt(self) -> float:
@@ -315,22 +315,13 @@ def classify(
     q = np.asarray(q, dtype=float)
     if q.shape != (g.m,):
         raise ValueError("q must have one entry per edge")
-    labels = []
-    c_v = np.zeros(g.n)
-    n_v = np.zeros(g.n)
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if q[e] >= tau_plus:
-            labels.append(CRUCIAL)
-            c_v[u] += q[e]
-            c_v[v] += q[e]
-        elif q[e] <= tau_minus:
-            labels.append(NONCRUCIAL)
-            n_v[u] += q[e]
-            n_v[v] += q[e]
-        else:
-            labels.append(IGNORED)
-    deg = g.degrees([e for e, lab in enumerate(labels) if lab == CRUCIAL])
+    crucial = q >= tau_plus
+    noncrucial = q <= tau_minus  # disjoint from crucial, as tau_minus < tau_plus
+    labels = [CRUCIAL if c else NONCRUCIAL if nc else IGNORED
+              for c, nc in zip(crucial, noncrucial)]
+    c_v = g.vertex_sums(np.where(crucial, q, 0.0))
+    n_v = g.vertex_sums(np.where(noncrucial, q, 0.0))
+    deg = g.vertex_sums(crucial)
     delta_c = int(deg.max()) if deg.size else 0
     if lambda_mode == "desk":
         lam = c_lambda * math.log2(delta_c + 2)

@@ -22,8 +22,7 @@ _MASK_LIMIT = 62  # a realization bitmask must fit an int64
 class StochasticGraph:
     """Simple undirected graph where edge ``e`` realizes with probability ``p_e``."""
 
-    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_incident",
-                 "_masks")
+    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -52,7 +51,6 @@ class StochasticGraph:
         self.p_min = float(self.ps.min()) if norm else 1.0
         self._adj = None
         self._half_edges = None
-        self._incident = None
         self._masks = None
 
     def endpoints(self, e: int) -> tuple[int, int]:
@@ -80,16 +78,6 @@ class StochasticGraph:
             self._half_edges = [(v, u, e) for v, row in enumerate(self.adjacency) for u, e in row]
         return self._half_edges
 
-    def incident(self, v: int) -> list[int]:
-        """Edge ids incident to vertex v."""
-        if self._incident is None:
-            inc = [[] for _ in range(self.n)]
-            for e, (u, w, _p) in enumerate(self.edges):
-                inc[u].append(e)
-                inc[w].append(e)
-            self._incident = inc
-        return self._incident[v]
-
     @property
     def mask_table(self) -> dict[int, tuple[int, ...]] | None:
         """Matched edge ids by realization bitmask (bit e set = edge e present),
@@ -105,11 +93,17 @@ class StochasticGraph:
             self._masks = {}
         return self._masks
 
-    def degrees(self, edge_ids=None) -> np.ndarray:
-        """Per-vertex count of the given edges (all edges when None)."""
-        ids = slice(None) if edge_ids is None else np.asarray(edge_ids, dtype=np.int64)
-        return (np.bincount(self.us[ids], minlength=self.n)
-                + np.bincount(self.vs[ids], minlength=self.n))
+    def vertex_sums(self, values) -> np.ndarray:
+        """Per-vertex sum of the per-edge ``values`` over the vertex's edges.
+
+        Each vertex adds its edges' values in ascending edge order, as a loop
+        ``out[u] += values[e]; out[v] += values[e]`` over the edges does, so
+        float sums have that loop's bits (summing the ``us`` side and the
+        ``vs`` side apart would not).  A degree is the sum of a 0/1 indicator.
+        """
+        ends = np.column_stack((self.us, self.vs)).ravel()
+        sums = np.bincount(ends, weights=np.repeat(values, 2), minlength=self.n)
+        return sums.astype(np.float64, copy=False)  # bincount of no edges is int
 
     @classmethod
     def from_text(cls, text: str) -> "StochasticGraph":
@@ -186,9 +180,6 @@ class Realization:
     def edge_ids(self) -> list[int]:
         return [int(e) for e in np.flatnonzero(self.present)]
 
-    def __contains__(self, e: int) -> bool:
-        return bool(self.present[e])
-
 
 def sample_realization(g: StochasticGraph, stream: RandomStream) -> Realization:
     """Sample each edge independently with its probability p_e.
@@ -253,9 +244,3 @@ class Matching:
 
     def __hash__(self):
         return hash(self.edges)
-
-    def covers(self, v: int) -> bool:
-        return v in self.matched_vertex
-
-    def partner(self, v: int) -> int | None:
-        return self.matched_vertex.get(v)

@@ -151,7 +151,7 @@ def concentration_test(g: StochasticGraph, t_fractions, samples: int, seed: int)
             continue
         empirical = float(np.mean(np.abs(mus - opt_hat) >= t))
         bound = math.exp(-(t * t) / (2.0 * opt_hat + 2.0 * t / 3.0))
-        se = binomial_se(empirical, samples)
+        se = float(binomial_se(empirical, samples))
         if t > opt_hat or opt_hat < 1.0:
             status = "out_of_precondition"
         elif empirical <= bound + 3.0 * se:
@@ -342,9 +342,14 @@ class ExperimentConfig:
         """A config from a JSON object of field values; unknown keys raise ``ValueError``."""
         if not isinstance(data, dict):
             raise ValueError(f"a config is a JSON object of fields, not a {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
+        for key, value in data.items():
+            if not _has_type(value, types[key]):
+                raise ValueError(f"config key {key!r} must be {types[key]}, "
+                                 f"got {type(value).__name__} {value!r}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -380,6 +385,14 @@ class ExperimentConfig:
     def sparsifier_R(self, tau_minus: float) -> int:
         """The sparsifier width: ``R``, else ``default_R(tau_minus)`` under ``default_r_cap``."""
         return default_R(tau_minus, cap=self.default_r_cap) if self.R is None else self.R
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` is of a type the annotation (e.g. ``"int | None"``)
+    names; an int also passes as a float, a bool never as an int."""
+    names = {name.strip() for name in annotation.split("|")}
+    kind = "None" if value is None else type(value).__name__
+    return kind in names or (kind == "int" and "float" in names)
 
 
 def assumption_holds(opt_hat: float, epsilon: float, n: int) -> bool:
@@ -576,7 +589,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     }
     # VimEngine._find raises at any node whose counting identity fails.
     add_check("vim_counting_identity", "pass")
-    cap_slack = 3.0 * np.sqrt(match_freq * (1 - match_freq) / config.vim_runs)
+    cap_slack = 3.0 * binomial_se(match_freq, config.vim_runs)
     if params.depth > 0:
         gamma_ci = params.gamma_ci_factor * engine.gamma_se(params.depth - 1)
     else:

@@ -73,9 +73,4 @@ def exact_stats(g: StochasticGraph, cap: int = DEFAULT_EDGE_CAP) -> ExactStats:
             comp[e] = (t - total[e]) - y
             total[e] = t
     q = np.array(total, dtype=np.float64)
-    matched_prob = np.zeros(g.n)
-    for e in range(m):
-        u, v = g.endpoints(e)
-        matched_prob[u] += q[e]
-        matched_prob[v] += q[e]
-    return ExactStats(graph=g, opt=opt, q=q, matched_prob=matched_prob)
+    return ExactStats(graph=g, opt=opt, q=q, matched_prob=g.vertex_sums(q))

@@ -50,9 +50,7 @@ class SubgraphQ:
     def _check_invariants(self):
         g = self.parent
         # Float sums of these integer weights are exact (far below 2**53).
-        t = np.where(self.member, self.t, 0)
-        per_vertex = (np.bincount(g.us, weights=t, minlength=g.n)
-                      + np.bincount(g.vs, weights=t, minlength=g.n))
+        per_vertex = g.vertex_sums(np.where(self.member, self.t, 0))
         if per_vertex.size and per_vertex.max() > self.R:
             raise AssertionError(
                 "t-sum exceeds R at some vertex; a sampled matching was not a matching"
@@ -62,7 +60,7 @@ class SubgraphQ:
         return [int(e) for e in np.flatnonzero(self.member)]
 
     def max_member_degree(self) -> int:
-        deg = self.parent.degrees(self.member_edges())
+        deg = self.parent.vertex_sums(self.member)
         return int(deg.max()) if deg.size else 0
 
 
@@ -123,7 +121,5 @@ def realize_and_match_q(q: SubgraphQ, stream: RandomStream) -> tuple[Realization
             f"build key space; key it differently (e.g. {EVAL_PURPOSE!r})"
         )
     g = q.parent
-    u = stream.uniforms(g.m)
-    present = (u < g.ps) & q.member
-    real = Realization(g, present)
+    real = Realization(g, sample_realization(g, stream).present & q.member)
     return real, mu(g, real)

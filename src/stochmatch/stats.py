@@ -26,8 +26,9 @@ def mean_se(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(n))
 
 
-def binomial_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def binomial_se(p_hat, n: int):
+    """Standard error sqrt(p (1 - p) / n) of a proportion; elementwise on arrays."""
+    return np.sqrt(np.maximum(p_hat * (1 - p_hat), 0) / n)
 
 
 def ratio_se(num: float, num_se: float, den: float, den_se: float) -> tuple[float, float]:

@@ -55,6 +55,7 @@ from .decomposition import EdgeClassification
 from .errors import ConflictGraphCapError, ParameterOverflowError
 from .mis import luby_rounds, max_conflict_degree, mis_round_budget
 from .randomness import IntKeys, RandomStream, encode_key
+from .stats import binomial_se
 
 __all__ = [
     "VimParams",
@@ -532,7 +533,7 @@ class VimEngine:
         samples = self.params.gamma_samples
         gam = self.matched_indicators(("gamma", r), samples, r).mean(axis=0)
         self._gamma[r] = gam
-        self._gamma_se[r] = np.sqrt(gam * (1.0 - gam) / samples)
+        self._gamma_se[r] = binomial_se(gam, samples)
 
     def saturated_set(self, r: int) -> frozenset[int]:
         """Vertices saturated at level r, from the level r-1 gamma table.

@@ -225,14 +225,25 @@ def test_guard_errors_exit_2(capsys, tmp_path):
     (["experiment", "--config", "TMP/unknown_key.json", "--seed", "5"],
      "set ['seed'] in the file instead of by flag"),
     (["gen"], "no graph: set graph_file (--graph) or graph_family (--family)"),
+    (["experiment", "--config", "TMP/epsilon_str.json"],
+     "config key 'epsilon' must be float, got str '0.3'"),
+    (["experiment", "--config", "TMP/q_samples_float.json"],
+     "config key 'q_samples' must be int, got float 2.5"),
+    (["experiment", "--config", "TMP/seed_bool.json"],
+     "config key 'seed' must be int, got bool True"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
         "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",
         "p_range_of_one", "p_null", "n_null", "config_unknown_key", "config_not_an_object",
-        "config_with_input_flags", "gen_without_a_graph"])
+        "config_with_input_flags", "gen_without_a_graph", "config_epsilon_a_string",
+        "config_q_samples_a_float", "config_seed_a_bool"])
 def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message):
     (tmp_path / "unknown_key.json").write_text('{"graph_family": "path", "nosuch": 1}')
     (tmp_path / "list.json").write_text('[1, 2]')
+    graph = '"graph_family": "path", "graph_params": {"n": 3, "p": 0.5}'
+    (tmp_path / "epsilon_str.json").write_text('{%s, "epsilon": "0.3"}' % graph)
+    (tmp_path / "q_samples_float.json").write_text('{%s, "q_samples": 2.5}' % graph)
+    (tmp_path / "seed_bool.json").write_text('{%s, "seed": true}' % graph)
     code = main([a.replace("TMP", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -203,6 +203,18 @@ def test_config_validation():
         ExperimentConfig(graph_family="path", mode="quick")
 
 
+def test_from_dict_checks_each_value_against_its_field_type():
+    # An int passes as a float and None passes for an optional field.
+    config = ExperimentConfig.from_dict({"graph_family": "path", "c_lambda": 3, "R": None,
+                                         "t0": 0.5, "graph_params": {"n": 3}})
+    assert config.c_lambda == 3 and config.R is None and config.t0 == 0.5
+    for key, value in [("epsilon", "0.3"), ("q_samples", 2.5), ("seed", True),
+                       ("R", 2.0), ("force_paper", 1), ("graph_params", [3]),
+                       ("mode", None), ("graph_family", 3)]:
+        with pytest.raises(ValueError, match=f"config key '{key}' must be "):
+            ExperimentConfig.from_dict({key: value})
+
+
 def test_report_raw_dump_fidelity():
     # Every reported mean must be recomputable from the raw per-run dump.
     report = run_pipeline(_small_config())

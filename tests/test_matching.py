@@ -90,7 +90,7 @@ def test_matched_vertex_map_consistency():
     m = max_matching(g)
     for e in m.edges:
         u, v = g.endpoints(e)
-        assert m.partner(u) == v and m.partner(v) == u
+        assert m.matched_vertex[u] == v and m.matched_vertex[v] == u
     assert len(m.matched_vertex) == 2 * len(m)
 
 
