@@ -10,7 +10,7 @@ small instances.
 """
 
 from .errors import (
-    ConflictGraphCapError,
+    CandidateWalkCapError,
     DivisionGuardError,
     GraphFormatError,
     InstanceTooLargeError,
@@ -36,6 +36,6 @@ __all__ = [
     "InstanceTooLargeError",
     "ParameterOverflowError",
     "DivisionGuardError",
-    "ConflictGraphCapError",
+    "CandidateWalkCapError",
     "SubsetCapError",
 ]

@@ -308,8 +308,7 @@ def test_f_properties(
     """Check the f bounds over a batch of sparsifier builds.
 
     Per-edge: mean f within [(1 - eps) q - 3 sigma, q + 3 sigma].  Per run and
-    vertex: the integer multiplicities already sum to at most R, so the f sum
-    stays at or below 1 exactly.
+    vertex: the f sum is at most 1, up to float rounding.
     """
     if not batch:
         raise ValueError("need at least one sparsifier build")
@@ -327,9 +326,5 @@ def test_f_properties(
         upper = q_ref[e] + 3.0 * (se + q_se[e])
         per_edge.append((e, mean_f, lower, upper, bool(lower <= mean_f <= upper)))
 
-    vertex_sum_ok = True
-    for qq in batch:
-        per_vertex = g.vertex_sums(qq.t)
-        if per_vertex.size and per_vertex.max() > qq.R:
-            vertex_sum_ok = False
+    vertex_sum_ok = all(np.all(g.vertex_sums(fv) <= 1.0 + 1e-12) for fv in fvals)
     return FPropertyReport(per_edge=per_edge, vertex_sum_ok=vertex_sum_ok)

@@ -32,11 +32,11 @@ class DivisionGuardError(StochmatchError):
     """A (1 - Pr[X_v]) denominator fell at or below the configured floor."""
 
 
-class ConflictGraphCapError(StochmatchError):
+class CandidateWalkCapError(StochmatchError):
     """Hyperwalk enumeration produced more candidate walks than allowed.
 
-    The cap (``VimParams.conflict_cap``) bounds the candidate hyperwalks of
-    one recursion node; no conflict graph is built, the name is historical.
+    The cap (``vim._MAX_CANDIDATE_WALKS``) bounds the candidate hyperwalks of
+    one recursion node.
     """
 
 

@@ -30,18 +30,10 @@ class StochasticGraph:
         norm = []
         seen = set()
         for i, (u, v, p) in enumerate(edges):
-            u, v, p = int(u), int(v), float(p)
-            if u == v:
-                raise ValueError(f"edge {i}: self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {i}: endpoint out of range for n={n}: ({u}, {v})")
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"edge {i}: probability must be in (0, 1], got {p}")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                raise ValueError(f"edge {i}: duplicate unordered pair ({a}, {b})")
-            seen.add((a, b))
-            norm.append((a, b, p))
+            try:
+                norm.append(_checked_edge(n, int(u), int(v), float(p), seen))
+            except ValueError as exc:
+                raise ValueError(f"edge {i}: {exc}") from None
         self.n = n
         self.edges = tuple(norm)
         self.m = len(norm)
@@ -117,19 +109,20 @@ class StochasticGraph:
         rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
         if not rows:
             raise GraphFormatError("empty graph file")
-        no, header = rows[0]
+        head_no, header = rows[0]
         parts = header.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"header must be 'n m', got {header!r}", line=no)
+            raise GraphFormatError(f"header must be 'n m', got {header!r}", line=head_no)
         try:
             n, m = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"header must be two integers, got {header!r}", line=no)
+            raise GraphFormatError(f"header must be two integers, got {header!r}", line=head_no)
         if len(rows) - 1 != m:
             raise GraphFormatError(
-                f"expected {m} edge lines, found {len(rows) - 1}", line=no
+                f"expected {m} edge lines, found {len(rows) - 1}", line=head_no
             )
         edges = []
+        seen = set()
         for no, ln in rows[1:]:
             parts = ln.split()
             if len(parts) != 3:
@@ -138,17 +131,14 @@ class StochasticGraph:
                 u, v, p = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise GraphFormatError(f"could not parse edge line {ln!r}", line=no)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex id out of range: {ln!r}", line=no)
-            if u == v:
-                raise GraphFormatError(f"self-loop not allowed: {ln!r}", line=no)
-            if not (0.0 < p <= 1.0):
-                raise GraphFormatError(f"probability must be in (0, 1]: {ln!r}", line=no)
-            edges.append((u, v, p))
+            try:
+                edges.append(_checked_edge(n, u, v, p, seen))
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), line=no) from None
         try:
             return cls(n, edges)
         except ValueError as exc:
-            raise GraphFormatError(str(exc))
+            raise GraphFormatError(str(exc), line=head_no) from None
 
     @classmethod
     def from_file(cls, path) -> "StochasticGraph":
@@ -160,6 +150,23 @@ class StochasticGraph:
         for u, v, p in self.edges:
             out.append(f"{u} {v} {p!r}")
         return "\n".join(out) + "\n"
+
+
+def _checked_edge(n: int, u: int, v: int, p: float, seen: set) -> tuple[int, int, float]:
+    """(u, v, p) with u < v, after the per-edge rules: no self-loop, endpoints
+    in range(n), p in (0, 1], and a pair not yet in ``seen`` (then added).
+    Each caller adds the edge's location to the ValueError."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"endpoint out of range for n={n}: ({u}, {v})")
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"probability must be in (0, 1], got {p}")
+    pair = (u, v) if u < v else (v, u)
+    if pair in seen:
+        raise ValueError(f"duplicate unordered pair {pair}")
+    seen.add(pair)
+    return (*pair, p)
 
 
 class Realization:

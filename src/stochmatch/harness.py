@@ -330,10 +330,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        for name in ("q_samples", "vim_runs", "cert_runs", "gamma_samples",
-                     "ratio_outer", "ratio_inner", "ratio_denom"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        # estimate_ratio takes a standard error over the outer and denominator samples.
+        for name, least in (("q_samples", 1), ("vim_runs", 1), ("cert_runs", 1),
+                            ("gamma_samples", 1), ("ratio_outer", 2), ("ratio_inner", 1),
+                            ("ratio_denom", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.mode not in ("desk", "paper"):
             raise ValueError(f"mode must be 'desk' or 'paper', got {self.mode!r}")
 

@@ -27,8 +27,10 @@ __all__ = [
     "luby_rounds",
     "max_conflict_degree",
     "mis_round_budget",
-    "greedy_complete",
 ]
+
+# The constant c of the round budget c * log2((delta + 2) / delta_fail).
+_ROUND_FACTOR = 2.0
 
 
 @dataclass
@@ -38,12 +40,13 @@ class MisResult:
     rounds: int
 
 
-def mis_round_budget(max_degree: int, epsilon: float, factor: float = 2.0) -> int:
-    """Round count c * log2((delta + 2) / delta_fail), delta_fail = eps / (10 (delta+1))."""
+def mis_round_budget(max_degree: int, epsilon: float) -> int:
+    """Round count c * log2((delta + 2) / delta_fail), delta_fail = eps / (10 (delta+1)),
+    with c = ``_ROUND_FACTOR``."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     delta_fail = epsilon / (10.0 * (max_degree + 1))
-    return max(1, math.ceil(factor * math.log2((max_degree + 2) / delta_fail)))
+    return max(1, math.ceil(_ROUND_FACTOR * math.log2((max_degree + 2) / delta_fail)))
 
 
 def max_conflict_degree(members) -> int:
@@ -168,15 +171,6 @@ def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
     )
     _assert_independent(adjacency, result.in_set)
     return result
-
-
-def greedy_complete(adjacency, result: MisResult) -> tuple[int, ...]:
-    """Extend an independent set to a maximal one over the undecided nodes."""
-    chosen = set(result.in_set)
-    for v in result.undecided:
-        if all(u not in chosen for u in adjacency[v]):
-            chosen.add(v)
-    return tuple(sorted(chosen))
 
 
 def _assert_independent(adjacency, nodes):

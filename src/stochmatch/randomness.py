@@ -61,11 +61,12 @@ def encode_key(key: tuple) -> bytes:
 
 
 class IntKeys(dict):
-    """``encode_key((x,))`` by integer x, encoded on first use; joining the
-    pieces of x1, x2, ... gives ``encode_key((x1, x2, ...))``."""
+    """``encode_key((x,))`` by integer x, and ``encode_key(x)`` by tuple x,
+    encoded on first use; joining the pieces of x1, x2, ... gives the
+    encoding of the joined key."""
 
-    def __missing__(self, x: int) -> bytes:
-        raw = self[x] = encode_key((x,))
+    def __missing__(self, x) -> bytes:
+        raw = self[x] = encode_key(x if type(x) is tuple else (x,))
         return raw
 
 

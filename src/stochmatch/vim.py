@@ -11,8 +11,7 @@ each walk's vertices as its members, and the round budget needs only the
 largest conflict degree, which ``mis.max_conflict_degree`` computes from the
 walks grouped by vertex set; so no pairwise conflict graph is built on the
 hot path (``build_conflict_graph`` stays as the explicit form and the test
-oracle).  Applying the chosen walks rebuilds only the slots they touch,
-and carries the profile's cover total over through their size changes.
+oracle).  Applying the chosen walks rebuilds only the slots they touch.
 
 Most nodes are at level 1, where every matching is empty and each walk is
 one step, so the enumerator keeps its fixed cost low: the last step of a
@@ -37,10 +36,12 @@ randomness outside a ball and checking the vertex's output never changes.
 
 Each recursion node holds the stream of its path (a ``RandomStream``), and
 its children extend that stream by their ``("rec", level, slot)`` step.
-A slot draw hashes only its pre-encoded ``("real", level, slot, edge)``
-tail, and an MIS priority only its round and walk, whose key is joined from
-cached encodings of its integers; since the hash streams, every value equals
-the full-key ``keyed_uniform`` it replaces.
+A slot draw hashes only its ``("real", level, slot, edge)`` tail, cached
+per prefix, and an MIS priority only its round and walk, whose key is joined
+from cached encodings of its integers; since the hash streams, every value
+equals the full-key ``keyed_uniform`` it replaces.  The saturation margin
+(``VimParams.gamma_ci_factor``), the round factor (``mis._ROUND_FACTOR``)
+and the per-node candidate cap (``_MAX_CANDIDATE_WALKS``) are constants.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from itertools import chain
 import numpy as np
 
 from .decomposition import EdgeClassification
-from .errors import ConflictGraphCapError, ParameterOverflowError
+from .errors import CandidateWalkCapError, ParameterOverflowError
 from .mis import luby_rounds, max_conflict_degree, mis_round_budget
 from .randomness import IntKeys, RandomStream, encode_key
 from .stats import binomial_se
@@ -61,7 +62,6 @@ __all__ = [
     "VimParams",
     "Profile",
     "Hyperwalk",
-    "is_augmenting",
     "enumerate_augmenting_hyperwalks",
     "build_conflict_graph",
     "apply_hyperwalks",
@@ -74,6 +74,8 @@ __all__ = [
 _PAPER_ALPHA_CAP = 10**4
 _PAPER_DEPTH_CAP = 10**4
 _PAPER_WORK_BITS_CAP = 24.0
+# One recursion node raises past this many candidate hyperwalks.
+_MAX_CANDIDATE_WALKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,10 @@ class VimParams:
     depth: int = 3
     walk_cap: int = 3
     gamma_samples: int = 400
-    gamma_ci_factor: float = 3.0
-    mis_round_factor: float = 2.0
-    conflict_cap: int = 100_000
+
+    # Standard errors of a gamma estimate taken off a saturation threshold;
+    # a class constant, not a field.
+    gamma_ci_factor = 3.0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -188,7 +191,7 @@ def _unchecked_walk(steps, vertices) -> Hyperwalk:
 class Profile:
     """Pairs (realized slot, matching of that slot) over the crucial graph."""
 
-    __slots__ = ("cls", "realized", "matchings", "cover", "_sum_d")
+    __slots__ = ("cls", "realized", "matchings", "cover")
 
     def __init__(self, classification: EdgeClassification, realized, matchings):
         if len(realized) != len(matchings):
@@ -199,18 +202,11 @@ class Profile:
         self.matchings = [frozenset(m) for m in matchings]
         self.cover = [_slot_cover(g, i, real, mat)
                       for i, (real, mat) in enumerate(zip(self.realized, self.matchings))]
-        self._sum_d = sum(map(len, self.cover))
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.realized)
-
-    def d(self, v: int) -> int:
-        return sum(1 for cov in self.cover if v in cov)
 
     def sum_d(self) -> int:
-        """Sum over vertices of ``d(v)``: the total size of the slot covers."""
-        return self._sum_d
+        """Sum over vertices of the number of slots covering each: the total
+        size of the slot covers."""
+        return sum(map(len, self.cover))
 
 
 def _slot_cover(g, i: int, real: frozenset[int], mat: frozenset[int]) -> dict[int, int]:
@@ -228,51 +224,6 @@ def _slot_cover(g, i: int, real: frozenset[int], mat: frozenset[int]) -> dict[in
         cov[u] = e
         cov[v] = e
     return cov
-
-
-def is_augmenting(profile: Profile, walk: Hyperwalk) -> bool:
-    """Whether applying the walk keeps every slot a matching, preserves the
-    slot-membership count of interior vertices, and raises it by exactly one
-    at both (distinct) endpoints."""
-    v0, vk = walk.endpoints
-    if v0 == vk:
-        # Coincident endpoints cannot each gain one slot; ruling these out
-        # also keeps the per-level counting identity exact.
-        return False
-    adds: dict[int, set[int]] = {}
-    rems: dict[int, set[int]] = {}
-    for pos, (e, s) in enumerate(walk.steps, start=1):
-        if not (0 <= s < profile.n_slots):
-            return False
-        target = adds if pos % 2 == 1 else rems
-        target.setdefault(s, set()).add(e)
-    g = profile.cls.graph
-    new_cover: dict[int, dict[int, int]] = {}
-    for s in set(adds) | set(rems):
-        edges = (profile.matchings[s] | adds.get(s, set())) - rems.get(s, set())
-        if not edges <= profile.realized[s]:
-            return False
-        cov: dict[int, int] = {}
-        for e in edges:
-            u, v = g.endpoints(e)
-            if u in cov or v in cov:
-                return False
-            cov[u] = e
-            cov[v] = e
-        new_cover[s] = cov
-    for v in set(walk.vertices):
-        before = profile.d(v)
-        after = 0
-        for s in range(profile.n_slots):
-            cov = new_cover.get(s)
-            if cov is None:
-                cov = profile.cover[s]
-            if v in cov:
-                after += 1
-        expected = before + 1 if v in (v0, vk) else before
-        if after != expected:
-            return False
-    return True
 
 
 def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
@@ -418,8 +369,7 @@ def apply_hyperwalks(profile: Profile, walks) -> Profile:
     """Apply vertex-disjoint augmenting hyperwalks; slot-wise union minus removal.
 
     Only the slots the walks touch are rebuilt and re-validated; the others
-    were validated when ``profile`` was built and are carried over, and so
-    is ``sum_d``, changed by each touched slot's new cover size minus its old.
+    were validated when ``profile`` was built and are carried over.
     """
     seen: set[int] = set()
     matchings = list(profile.matchings)
@@ -440,12 +390,8 @@ def apply_hyperwalks(profile: Profile, walks) -> Profile:
     out = Profile.__new__(Profile)
     out.cls, out.realized, out.matchings = profile.cls, profile.realized, matchings
     out.cover = cover = list(profile.cover)
-    sum_d = profile._sum_d
     for s in sorted(touched):
-        new = _slot_cover(profile.cls.graph, s, profile.realized[s], matchings[s])
-        sum_d += len(new) - len(cover[s])
-        cover[s] = new
-    out._sum_d = sum_d
+        cover[s] = _slot_cover(profile.cls.graph, s, profile.realized[s], matchings[s])
     return out
 
 
@@ -483,16 +429,14 @@ class VimEngine:
         self._cedge_set = frozenset(self._cedges)
         self._cp = {e: float(g.ps[e]) for e in self._cedges}
         self._ends = {e: g.endpoints(e) for e in self._cedges}
-        self._input_tails = [encode_key(("input", e)) for e in self._cedges]
-        self._tails: dict[tuple, bytes] = {}
-        self._int_keys = IntKeys()
-        self._real_tails: dict[tuple[int, int], list[bytes]] = {}
+        self._keys = IntKeys()
+        self._tails: dict[tuple, list[bytes]] = {}
 
     # -- randomness ---------------------------------------------------------
 
     def input_realization(self, key: tuple, rand=None) -> frozenset[int]:
         """Sample a fresh realization of the crucial graph, bit per edge."""
-        return self._draw_edges((rand or self.rand).child(*key), self._input_tails)
+        return self._draw_edges((rand or self.rand).child(*key), self._edge_tails("input"))
 
     def _draw_edges(self, rand: RandomStream, tails: list[bytes]) -> frozenset[int]:
         """Crucial edges whose draw at ``rand`` + tail falls under p_e."""
@@ -500,17 +444,11 @@ class VimEngine:
         return frozenset(e for e, tail in zip(self._cedges, tails)
                          if rand.uniform_at(tail, ends[e]) < cp[e])
 
-    def _tail(self, key: tuple) -> bytes:
-        raw = self._tails.get(key)
-        if raw is None:
-            raw = self._tails[key] = encode_key(key)
-        return raw
-
-    def _slot_tails(self, r: int, i: int) -> list[bytes]:
-        tails = self._real_tails.get((r, i))
+    def _edge_tails(self, *prefix) -> list[bytes]:
+        """``encode_key(prefix + (e,))`` for each crucial edge e, cached by prefix."""
+        tails = self._tails.get(prefix)
         if tails is None:
-            tails = [encode_key(("real", r, i, e)) for e in self._cedges]
-            self._real_tails[(r, i)] = tails
+            tails = self._tails[prefix] = [encode_key((*prefix, e)) for e in self._cedges]
         return tails
 
     # -- gamma tables and saturation ----------------------------------------
@@ -574,31 +512,27 @@ class VimEngine:
         node's recursion path, to which every draw appends only its tail."""
         if r == 0:
             return frozenset()
-        alpha = self.params.alpha
+        alpha, ik = self.params.alpha, self._keys
         slots = [creal]
         for i in range(1, alpha + 1):
-            slots.append(self._draw_edges(rand, self._slot_tails(r, i)))
+            slots.append(self._draw_edges(rand, self._edge_tails("real", r, i)))
         if r == 1:
             # Level 0 matches nothing and draws nothing, so skip its streams.
             matchings = [frozenset()] * (alpha + 1)
         else:
-            matchings = [
-                self._find(r - 1, slots[i], rand.child(self._tail(("rec", r, i))), trace)
-                for i in range(alpha + 1)
-            ]
+            matchings = [self._find(r - 1, slots[i], rand.child(ik[("rec", r, i)]), trace)
+                         for i in range(alpha + 1)]
         profile = Profile(self.cls, slots, matchings)
         saturated = self.saturated_set(r)
         walks = enumerate_augmenting_hyperwalks(profile, saturated, self.params.walk_cap)
-        if len(walks) > self.params.conflict_cap:
-            raise ConflictGraphCapError(
+        if len(walks) > _MAX_CANDIDATE_WALKS:
+            raise CandidateWalkCapError(
                 f"{len(walks)} candidate hyperwalks exceed the cap of "
-                f"{self.params.conflict_cap}; reduce walk_cap or alpha"
+                f"{_MAX_CANDIDATE_WALKS}; reduce walk_cap or alpha"
             )
         members = [w.vertices for w in walks]
-        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon,
-                                  self.params.mis_round_factor)
+        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon)
         self.max_mis_rounds = max(self.max_mis_rounds, budget)
-        ik = self._int_keys
         walk_tails = []
         for w in walks:
             # encode_key((v0, e1, s1, e2, s2, ...)) from cached pieces
@@ -612,7 +546,7 @@ class VimEngine:
         def priority(rnd: int, node: int) -> float:
             state = round_states.get(rnd)
             if state is None:
-                state = round_states[rnd] = rand.child(self._tail(("mis", r, rnd)))
+                state = round_states[rnd] = rand.child(ik[("mis", r, rnd)])
             return state.uniform_at(walk_tails[node], walks[node].vertices)
 
         result = luby_rounds(members, budget, priority)

@@ -14,7 +14,7 @@ import numpy as np
 from stochmatch.graph import Matching, Realization, StochasticGraph
 from stochmatch.mis import MisResult
 from stochmatch.randomness import RandomStream
-from stochmatch.vim import Hyperwalk, is_augmenting
+from stochmatch.vim import Hyperwalk
 
 
 def brute_force_mu(n: int, pairs) -> int:
@@ -129,13 +129,59 @@ def canonical_walk(steps, vertices) -> Hyperwalk:
     return Hyperwalk(*min(fwd, rev))
 
 
+def is_augmenting(profile, walk: Hyperwalk) -> bool:
+    """Whether applying the walk keeps every slot a matching, preserves the
+    slot-membership count of interior vertices, and raises it by exactly one
+    at both (distinct) endpoints."""
+    v0, vk = walk.endpoints
+    if v0 == vk:
+        # Coincident endpoints cannot each gain one slot; ruling these out
+        # also keeps the per-level counting identity exact.
+        return False
+    n_slots = len(profile.realized)
+    adds: dict[int, set[int]] = {}
+    rems: dict[int, set[int]] = {}
+    for pos, (e, s) in enumerate(walk.steps, start=1):
+        if not (0 <= s < n_slots):
+            return False
+        target = adds if pos % 2 == 1 else rems
+        target.setdefault(s, set()).add(e)
+    g = profile.cls.graph
+    new_cover: dict[int, dict[int, int]] = {}
+    for s in set(adds) | set(rems):
+        edges = (profile.matchings[s] | adds.get(s, set())) - rems.get(s, set())
+        if not edges <= profile.realized[s]:
+            return False
+        cov: dict[int, int] = {}
+        for e in edges:
+            u, v = g.endpoints(e)
+            if u in cov or v in cov:
+                return False
+            cov[u] = e
+            cov[v] = e
+        new_cover[s] = cov
+    for v in set(walk.vertices):
+        before = sum(1 for cov in profile.cover if v in cov)
+        after = 0
+        for s in range(n_slots):
+            cov = new_cover.get(s)
+            if cov is None:
+                cov = profile.cover[s]
+            if v in cov:
+                after += 1
+        expected = before + 1 if v in (v0, vk) else before
+        if after != expected:
+            return False
+    return True
+
+
 def reference_augmenting_hyperwalks(profile, saturated, walk_cap: int):
     """Generate-then-validate hyperwalk enumeration, the oracle for the
     incremental search in ``stochmatch.vim``: every taut prefix ending at an
     unsaturated vertex is canonicalised and checked with a full
     ``is_augmenting`` rebuild."""
     cadj = profile.cls.crucial_adjacency()
-    n_slots = profile.n_slots
+    n_slots = len(profile.realized)
     found = {}
 
     def consider(steps, verts):
@@ -207,6 +253,15 @@ def reference_luby_rounds(adjacency, rounds: int, priority) -> MisResult:
         undecided=tuple(sorted(undecided)),
         rounds=rounds_used,
     )
+
+
+def greedy_complete(adjacency, result: MisResult) -> tuple[int, ...]:
+    """Extend an independent set to a maximal one over the undecided nodes."""
+    chosen = set(result.in_set)
+    for v in result.undecided:
+        if all(u not in chosen for u in adjacency[v]):
+            chosen.add(v)
+    return tuple(sorted(chosen))
 
 
 def reference_max_matching(g: StochasticGraph, edge_set=None) -> Matching:

@@ -22,7 +22,7 @@ from stochmatch.harness import (
     run_certificate_batch,
 )
 from stochmatch.matching import mu
-from stochmatch.mis import apx_mis, greedy_complete
+from stochmatch.mis import apx_mis
 from stochmatch.oracle import exact_stats
 from stochmatch.randomness import RandomStream
 from stochmatch.certificate import certificate_size_report, compute_f
@@ -31,7 +31,7 @@ from stochmatch.reduction import contract, lift
 from stochmatch.sparsifier import build_baseline_iterative, build_q
 from stochmatch.vim import VimEngine, VimParams, locality_bound
 
-from helpers import small_corpus
+from helpers import greedy_complete, small_corpus
 
 
 def conclude(number, name, ok, detail=""):

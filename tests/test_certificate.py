@@ -224,6 +224,22 @@ def test_f_vertex_sums_never_exceed_one():
             assert np.all(g.vertex_sums(f) <= 1.0 + 1e-12)
 
 
+def test_f_property_checks_fail_on_vertex_sums_over_one(monkeypatch):
+    # On criterion 08's graph an f scaled by 10 sums to 1.25 at a vertex,
+    # while the multiplicities t still sum to at most R at every vertex, so
+    # only a check of the f sums themselves can fail here.
+    from stochmatch import certificate
+
+    g = StochasticGraph(4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.9)])
+    cls = classify(g, exact_stats(g).q, tau_minus=0.1, tau_plus=0.5, epsilon=0.3)
+    batch = [build_q(g, R=16, seed=s) for s in range(40)]
+    assert run_f_property_checks(g, cls, 0.3, batch).vertex_sum_ok
+    monkeypatch.setattr(certificate, "compute_f", lambda *args: 10.0 * compute_f(*args))
+    assert max(g.vertex_sums(certificate.compute_f(q, cls, 0.3)).max() for q in batch) == 1.25
+    assert all(g.vertex_sums(q.t).max() <= q.R for q in batch)
+    assert not run_f_property_checks(g, cls, 0.3, batch).vertex_sum_ok
+
+
 def test_x_support_and_exclusivity_invariants():
     # x lives only on realized member edges of Q; a crucial x_e = 1 at a
     # vertex forces every other incident value to zero.

@@ -54,6 +54,10 @@ def test_parse_errors_carry_line_numbers():
         StochasticGraph.from_text("3 1\n0 1 2.5\n")
     assert exc.value.line == 2
 
+    with pytest.raises(GraphFormatError, match="duplicate") as exc:
+        StochasticGraph.from_text("3 2\n0 1 0.5\n1 0 0.5\n")
+    assert exc.value.line == 3
+
 
 def test_parse_strict_fields():
     with pytest.raises(GraphFormatError):

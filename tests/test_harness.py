@@ -201,6 +201,11 @@ def test_config_validation():
         ExperimentConfig(graph_family="path", q_samples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(graph_family="path", mode="quick")
+    # estimate_ratio needs two outer and two denominator samples; the config
+    # says so before any stage runs.
+    for key in ("ratio_outer", "ratio_denom"):
+        with pytest.raises(ValueError, match=f"{key} must be at least 2, got 1"):
+            ExperimentConfig(graph_family="path", **{key: 1})
 
 
 def test_from_dict_checks_each_value_against_its_field_type():

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from stochmatch.mis import (
     apx_mis,
-    greedy_complete,
     luby_rounds,
     max_conflict_degree,
     mis_round_budget,
 )
 
-from helpers import reference_luby_rounds
+from helpers import greedy_complete, reference_luby_rounds
 
 
 def _star_adj(leaves):

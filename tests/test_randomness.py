@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stochmatch.graph import StochasticGraph, sample_realization
-from stochmatch.randomness import RandomStream, encode_key, keyed_uniform
+from stochmatch.randomness import IntKeys, RandomStream, encode_key, keyed_uniform
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 _PART = st.one_of(
@@ -107,6 +107,13 @@ def test_prefix_state_equals_full_key(seed, a, b, c):
     assert prefix.uniform_at(c) == full
     assert prefix.uniform_at(encode_key(c)) == full
     assert RandomStream(seed).child(encode_key(a + b)).uniform_at(c) == full
+
+
+@given(a=_KEY, ints=st.lists(_INT64, max_size=4))
+def test_int_keys_join_to_the_full_key(a, ints):
+    # A tuple is looked up as a whole key, an int as a one-part key.
+    ik = IntKeys()
+    assert ik[a] + b"".join(ik[x] for x in ints) == encode_key(a + tuple(ints))
 
 
 def test_perturbed_prefix_resamples_outside_the_kept_region():

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 
@@ -23,14 +24,18 @@ from stochmatch.vim import (
     apply_hyperwalks,
     build_conflict_graph,
     enumerate_augmenting_hyperwalks,
-    is_augmenting,
     locality_bound,
 )
-from stochmatch import vim
+from stochmatch import mis, vim
 from stochmatch.errors import ParameterOverflowError
 from stochmatch.mis import max_conflict_degree
 
-from helpers import path_graph, reference_augmenting_hyperwalks, two_single_edges
+from helpers import (
+    is_augmenting,
+    path_graph,
+    reference_augmenting_hyperwalks,
+    two_single_edges,
+)
 
 
 def classification_for(g, eps=0.3, tau_minus=0.05, tau_plus=0.5):
@@ -448,6 +453,14 @@ def test_run_rejects_noncrucial_input():
         engine.run(1, [1])
 
 
+def test_options_are_the_paper_parameters():
+    # The saturation margin, the round factor and the candidate cap are
+    # fixed policies of the construction, not options.
+    assert [f.name for f in dataclasses.fields(VimParams)] == [
+        "epsilon", "alpha", "depth", "walk_cap", "gamma_samples"]
+    assert list(inspect.signature(mis.mis_round_budget).parameters) == ["max_degree", "epsilon"]
+
+
 def test_paper_params_guard():
     with pytest.raises(ParameterOverflowError, match="alpha"):
         VimParams.paper(0.1)
@@ -531,14 +544,15 @@ def test_size_nondecreasing_in_depth():
         assert means[hi] >= means[lo] - slack
 
 
-def test_conflict_cap_guard():
-    from stochmatch.errors import ConflictGraphCapError
+def test_conflict_cap_guard(monkeypatch):
+    from stochmatch.errors import CandidateWalkCapError
 
     g = path_graph(4, 0.9)
     cls = all_crucial(g)
-    params = VimParams(epsilon=0.3, alpha=4, depth=1, gamma_samples=10, conflict_cap=1)
+    monkeypatch.setattr(vim, "_MAX_CANDIDATE_WALKS", 1)
+    params = VimParams(epsilon=0.3, alpha=4, depth=1, gamma_samples=10)
     engine = VimEngine(cls, params, seed=0)
-    with pytest.raises(ConflictGraphCapError, match="walk_cap"):
+    with pytest.raises(CandidateWalkCapError, match="walk_cap"):
         for s in range(20):
             engine.run(1, engine.input_realization(("cap", s)), key=("cap", s))
 
@@ -590,7 +604,7 @@ def test_enumeration_is_exactly_the_taut_subset():
             if len(steps) == cap:
                 return
             for nbr, e in cadj.get(cur, ()):
-                for s in range(profile.n_slots):
+                for s in range(len(profile.realized)):
                     steps.append((e, s))
                     verts.append(nbr)
                     extend(nbr, steps, verts)
@@ -679,13 +693,13 @@ def test_outputs_pinned_against_randomness_format_drift():
     assert engine.perturbations_run == 56
 
 
-def test_trace_records_undecided_mis_nodes():
+def test_trace_records_undecided_mis_nodes(monkeypatch):
     # One Luby round cannot settle every conflict, so some walks stay
     # undecided; the trace must say how many, and never more than were left.
     g = path_graph(4, 0.9)
     cls = all_crucial(g)
-    params = VimParams(epsilon=0.3, alpha=4, depth=1, gamma_samples=10,
-                       mis_round_factor=0.01)
+    monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.01)
+    params = VimParams(epsilon=0.3, alpha=4, depth=1, gamma_samples=10)
     engine = VimEngine(cls, params, seed=3)
     undecided = 0
     for s in range(30):
@@ -792,9 +806,9 @@ def test_level_traces_pinned(case, monkeypatch):
         runs, tag = 30, "pin"
         want = "fcbb4a58cf37c6f76c62c530f1a93929053fd225f53742d0a2d270bd88c858b9", 35
     else:
+        monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.05)
         engine = VimEngine(_er10_all_crucial(),
-                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40,
-                                     mis_round_factor=0.05), seed=5)
+                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)
         runs, tag = 30, "pin"
         want = "12bd4f3c9c0a936145a56743f7c93ba9b30069fa4a445629521625fc3f9855ba", 1
     assert (_trace_digest(engine, runs, tag, monkeypatch), engine.max_mis_rounds) == want
