@@ -56,6 +56,8 @@ __all__ = [
 
 # -- approximation ratio ------------------------------------------------------
 
+_RATIO_LEAST = {"outer": 2, "inner": 1, "denom_samples": 2}  # two samples give a standard error
+
 
 @dataclass
 class RatioEstimate:
@@ -87,8 +89,9 @@ def estimate_ratio(
     One subgraph per outer seed (the builder is randomized), many evaluation
     realizations per subgraph; the outer-level means are the i.i.d. samples.
     """
-    if outer < 2 or inner < 1 or denom_samples < 2:
-        raise ValueError("need outer >= 2, inner >= 1, denom_samples >= 2")
+    for name, value in (("outer", outer), ("inner", inner), ("denom_samples", denom_samples)):
+        if value < _RATIO_LEAST[name]:
+            raise ValueError(f"{name} must be at least {_RATIO_LEAST[name]}, got {value}")
     build_stream = RandomStream(seed, ("ratio-build",))
     eval_stream = RandomStream(seed, ("ratio-eval",))
     denom_stream = RandomStream(seed, ("ratio-denom",))
@@ -330,10 +333,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        # estimate_ratio takes a standard error over the outer and denominator samples.
         for name, least in (("q_samples", 1), ("vim_runs", 1), ("cert_runs", 1),
-                            ("gamma_samples", 1), ("ratio_outer", 2), ("ratio_inner", 1),
-                            ("ratio_denom", 2)):
+                            ("gamma_samples", 1), ("ratio_outer", _RATIO_LEAST["outer"]),
+                            ("ratio_inner", _RATIO_LEAST["inner"]),
+                            ("ratio_denom", _RATIO_LEAST["denom_samples"])):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.mode not in ("desk", "paper"):

@@ -208,6 +208,14 @@ def test_config_validation():
             ExperimentConfig(graph_family="path", **{key: 1})
 
 
+def test_estimate_ratio_needs_two_outer_and_denominator_samples():
+    # The same minimums as ExperimentConfig's ratio_outer and ratio_denom.
+    g = StochasticGraph(2, [(0, 1, 0.5)])
+    for name in ("outer", "denom_samples"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 2, got 1"):
+            estimate_ratio(g, "algorithm1", 1, **{name: 1})
+
+
 def test_from_dict_checks_each_value_against_its_field_type():
     # An int passes as a float and None passes for an optional field.
     config = ExperimentConfig.from_dict({"graph_family": "path", "c_lambda": 3, "R": None,

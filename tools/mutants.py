@@ -6,14 +6,13 @@ the tests that must fail).  For each one the script copies ``src/``,
 old text, which must occur exactly once, and runs only the named tests there
 under a timeout.  The mutant is killed when pytest reports a failing test or
 the run times out (a broken loop can hang); it survives when the tests pass.
-First the named tests of every selected mutant run once on the unmutated
-copy and must pass, so a kill is the mutation's doing.
+First the named tests of every mutant run once on the unmutated copy and
+must pass, so a kill is the mutation's doing.
 
-Run from the repository root, with pytest and hypothesis installed:
+Run every mutant from the repository root, with pytest and hypothesis
+installed:
 
-    python tools/mutants.py                  # every mutant
-    python tools/mutants.py --list           # names and tests only
-    python tools/mutants.py sum_d ratio_min  # a selection
+    python tools/mutants.py
 
 The exit status is 1 when a mutant survives, a mutant cannot be applied or
 run, or the unmutated tests fail.  Only the standard library is imported
@@ -22,7 +21,6 @@ here; pytest runs in child processes.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -58,8 +56,9 @@ MUTANTS = [
      "edges.append(_checked_edge(n, u, v, p, set()))",
      ["tests/test_graph_io.py::test_parse_errors_carry_line_numbers"]),
     ("ratio_min", "harness.py",
-     '("ratio_outer", 2)', '("ratio_outer", 1)',
+     '"outer": 2', '"outer": 1',
      ["tests/test_harness.py::test_config_validation",
+      "tests/test_harness.py::test_estimate_ratio_needs_two_outer_and_denominator_samples",
       "tests/test_cli.py::test_input_errors_exit_2_without_a_traceback[config_ratio_outer_one]"]),
     ("f_vertex_sum", "certificate.py",
      "g.vertex_sums(fv) <= 1.0 + 1e-12", "g.vertex_sums(fv) <= 2.0",
@@ -105,32 +104,18 @@ def apply(dest: Path, file: str, old: str, new: str):
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    known = {m[0]: m for m in MUTANTS}
-    unknown = sorted(set(args.names) - set(known))
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {sorted(known)}")
-    chosen = [known[n] for n in args.names] if args.names else MUTANTS
-    if args.list:
-        for name, file, _, _, tests in chosen:
-            print(f"{name} ({file}): {' '.join(tests)}")
-        return 0
-
+def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        all_tests = list(dict.fromkeys(t for m in chosen for t in m[4]))
+        all_tests = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
         status, tail = run_tests(clean, all_tests)
         print(f"unmutated: {status} ({len(all_tests)} tests)", flush=True)
         if status != "pass":
             print(tail)
             return 1
-        for name, file, old, new, tests in chosen:
+        for name, file, old, new, tests in MUTANTS:
             start = time.perf_counter()
             work = Path(tmp) / name
             copy_tree(work)
@@ -148,7 +133,7 @@ def main(argv=None) -> int:
                 failures += 1
                 print(tail)
             shutil.rmtree(work)
-    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
 
