@@ -13,13 +13,19 @@ walks grouped by vertex set; so no pairwise conflict graph is built on the
 hot path (``build_conflict_graph`` stays as the explicit form and the test
 oracle).  Applying the chosen walks rebuilds only the slots they touch.
 
-Most nodes are at level 1, where every matching is empty and each walk is
-one step, so the enumerator keeps its fixed cost low: the last step of a
-walk is tested without being pushed (no cover-count updates, and the
-orientation rejects half the steps first), an empty matching offers its
-realized set as add steps as it is, a slot's cover-count row is built only
-when a step is pushed in it, and walks are collected as tuples, sorted, and
-only then built as ``Hyperwalk`` objects without re-checking them.
+Most nodes are at level 1, where every slot matching is empty, so each
+augmenting hyperwalk is one step (e, s): an edge realized in slot s with
+both endpoints unsaturated.  ``VimEngine._level_one`` selects among those
+steps directly, as sorted ``(u, e, s, v)`` tuples that carry the walks'
+vertices and priority keys, and builds no ``Profile`` or ``Hyperwalk`` and
+runs neither the enumerator nor ``apply_hyperwalks``; the generic node
+body, run at level 1 with empty matchings, is its test reference.  Above
+level 1 the enumerator keeps its fixed cost low: the last step of a walk is
+tested without being pushed (no cover-count updates, and the orientation
+rejects half the steps first), an empty matching offers its realized set as
+add steps as it is, a slot's cover-count row is built only when a step is
+pushed in it, and walks are collected as tuples, sorted, and only then
+built as ``Hyperwalk`` objects without re-checking them.
 
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
@@ -246,14 +252,15 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     which the first and last steps decide.
 
     The search stops descending when no slot offers a step of the next
-    parity (at level 1, say, every matching is empty, so nothing to remove)
+    parity (when every matching is empty, say, there is nothing to remove)
     or the walk is at ``walk_cap`` steps.  There the last step is tested
     without being pushed: an even step ends no walk, and an odd step ends
     one exactly when nothing is over-covered yet, its endpoint is a new
     unsaturated vertex, the orientation holds, the step is unused, and
-    neither of its vertices is covered once already in its slot.  So a
-    level-1 node only tests single steps, and half of them fail the
-    orientation before any other work.
+    neither of its vertices is covered once already in its slot.  With
+    every matching empty the walks are single steps, and half of them fail
+    the orientation before any other work; level-1 nodes, whose matchings
+    are all empty, no longer come here (``VimEngine._level_one``).
 
     The per-slot tables are built lazily: a slot with an empty matching
     offers every realized edge as an add step, and a slot's cover-count row
@@ -517,22 +524,50 @@ class VimEngine:
         for i in range(1, alpha + 1):
             slots.append(self._draw_edges(rand, self._edge_tails("real", r, i)))
         if r == 1:
-            # Level 0 matches nothing and draws nothing, so skip its streams.
-            matchings = [frozenset()] * (alpha + 1)
-        else:
-            matchings = [self._find(r - 1, slots[i], rand.child(ik[("rec", r, i)]), trace)
-                         for i in range(alpha + 1)]
+            return self._level_one(slots, rand, trace)
+        matchings = [self._find(r - 1, slots[i], rand.child(ik[("rec", r, i)]), trace)
+                     for i in range(alpha + 1)]
+        return self._node(r, slots, matchings, rand, trace)
+
+    def _level_one(self, slots: list, rand: RandomStream, trace):
+        """``_node(1, slots, [frozenset()] * len(slots), rand, trace)`` on
+        one-step walks (e, s) held as ``(u, e, s, v)``, ``u < v``: sorted,
+        they are in the enumerator's order, and ``(u, v)`` and
+        ``encode_key((u, e, s))`` are the walks' vertices and priority tails."""
+        saturated, ends, ik = self.saturated_set(1), self._ends, self._keys
+        cands = sorted((u, e, s, v) for s, real in enumerate(slots) for e in real
+                       for u, v in (ends[e],) if u not in saturated and v not in saturated)
+        members = [(u, v) for u, _, _, v in cands]
+        result = self._select(1, members, [ik[u] + ik[e] + ik[s] for u, e, s, _ in cands], rand)
+        chosen = [cands[i] for i in result.in_set]
+        if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):
+            raise AssertionError("level-1 steps chosen by the independent set share a vertex")
+        # Each chosen step covers its two vertices in its slot: the slot
+        # covers sum to 2 * selected exactly when the slots stay matchings.
+        d_after = len({(s, x) for u, _, s, v in chosen for x in (u, v)})
+        if d_after != 2 * len(chosen):
+            raise AssertionError(
+                f"counting identity failed at level 1: 0 + 2*{len(chosen)} != {d_after}")
+        if trace is not None:
+            sizes = [0] * len(slots)
+            for _, _, s, _ in chosen:
+                sizes[s] += 1
+            trace.append(LevelTrace(1, 0, d_after, len(chosen), len(cands), result.rounds,
+                                    len(result.undecided), tuple(sizes)))
+        z = frozenset(e for _, e, s, _ in chosen if s == 0)
+        if not z <= slots[0]:
+            raise AssertionError("returned matching left the input realization")
+        return z
+
+    def _node(self, r: int, slots: list, matchings: list, rand: RandomStream, trace):
+        """One recursion node over its realized ``slots`` and their level-(r-1)
+        ``matchings``: enumerate, select and apply augmenting hyperwalks, and
+        return slot 0's matching.  Level 1 runs ``_level_one`` instead; this
+        body at r = 1 with empty matchings is its reference."""
+        ik = self._keys
         profile = Profile(self.cls, slots, matchings)
         saturated = self.saturated_set(r)
         walks = enumerate_augmenting_hyperwalks(profile, saturated, self.params.walk_cap)
-        if len(walks) > _MAX_CANDIDATE_WALKS:
-            raise CandidateWalkCapError(
-                f"{len(walks)} candidate hyperwalks exceed the cap of "
-                f"{_MAX_CANDIDATE_WALKS}; reduce walk_cap or alpha"
-            )
-        members = [w.vertices for w in walks]
-        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon)
-        self.max_mis_rounds = max(self.max_mis_rounds, budget)
         walk_tails = []
         for w in walks:
             # encode_key((v0, e1, s1, e2, s2, ...)) from cached pieces
@@ -541,15 +576,7 @@ class VimEngine:
                 parts.append(ik[e])
                 parts.append(ik[s])
             walk_tails.append(b"".join(parts))
-        round_states: dict[int, RandomStream] = {}
-
-        def priority(rnd: int, node: int) -> float:
-            state = round_states.get(rnd)
-            if state is None:
-                state = round_states[rnd] = rand.child(ik[("mis", r, rnd)])
-            return state.uniform_at(walk_tails[node], walks[node].vertices)
-
-        result = luby_rounds(members, budget, priority)
+        result = self._select(r, [w.vertices for w in walks], walk_tails, rand)
         chosen = [walks[i] for i in result.in_set]
         after = apply_hyperwalks(profile, chosen)
         d_before = profile.sum_d()
@@ -573,9 +600,31 @@ class VimEngine:
                 )
             )
         z = after.matchings[0]
-        if not z <= creal:
+        if not z <= slots[0]:
             raise AssertionError("returned matching left the input realization")
         return z
+
+    def _select(self, r: int, members: list, tails: list[bytes], rand: RandomStream):
+        """Luby's rounds over a level-r node's candidates, given by their
+        vertices and their priority tails, under the round budget of their
+        largest conflict degree; raises past ``_MAX_CANDIDATE_WALKS``."""
+        if len(members) > _MAX_CANDIDATE_WALKS:
+            raise CandidateWalkCapError(
+                f"{len(members)} candidate hyperwalks exceed the cap of "
+                f"{_MAX_CANDIDATE_WALKS}; reduce walk_cap or alpha"
+            )
+        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon)
+        self.max_mis_rounds = max(self.max_mis_rounds, budget)
+        ik = self._keys
+        round_states: dict[int, RandomStream] = {}
+
+        def priority(rnd: int, node: int) -> float:
+            state = round_states.get(rnd)
+            if state is None:
+                state = round_states[rnd] = rand.child(ik[("mis", r, rnd)])
+            return state.uniform_at(tails[node], members[node])
+
+        return luby_rounds(members, budget, priority)
 
     # -- locality ------------------------------------------------------------
 

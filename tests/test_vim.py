@@ -27,13 +27,15 @@ from stochmatch.vim import (
     locality_bound,
 )
 from stochmatch import mis, vim
-from stochmatch.errors import ParameterOverflowError
+from stochmatch.errors import CandidateWalkCapError, ParameterOverflowError
 from stochmatch.mis import max_conflict_degree
+from stochmatch.randomness import RandomStream
 
 from helpers import (
     is_augmenting,
     path_graph,
     reference_augmenting_hyperwalks,
+    small_corpus,
     two_single_edges,
 )
 
@@ -555,6 +557,68 @@ def test_conflict_cap_guard(monkeypatch):
     with pytest.raises(CandidateWalkCapError, match="walk_cap"):
         for s in range(20):
             engine.run(1, engine.input_realization(("cap", s)), key=("cap", s))
+
+
+def test_level_one_equals_the_generic_node(monkeypatch):
+    # The level-1 routine against the generic node body at r = 1 with empty
+    # matchings: the same matching, trace, round budgets and conflict degrees
+    # over random classifications, saturated sets, slots and perturbed
+    # streams, and the same CandidateWalkCapError under a small cap.
+    degrees = []
+    budget = vim.mis_round_budget
+
+    def recording(max_degree, *args):
+        degrees.append(max_degree)
+        return budget(max_degree, *args)
+
+    monkeypatch.setattr(vim, "mis_round_budget", recording)
+    rng = np.random.default_rng(7)
+    seen = {"selected": 0, "capped": 0}
+
+    def outcome(engine, node):
+        engine.max_mis_rounds = 0
+        degrees.clear()
+        trace = []
+        try:
+            z = node(trace)
+        except CandidateWalkCapError as exc:
+            seen["capped"] += 1
+            return str(exc), list(degrees)
+        seen["selected"] += len(z)
+        return z, trace, engine.max_mis_rounds, list(degrees)
+
+    for i, g in enumerate(small_corpus(count=12, seed=14, max_edges=8)):
+        for cls in (all_crucial(g), classification_for(g)):
+            for alpha in (0, 1, 3, 11):
+                engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=alpha, depth=1,
+                                                  gamma_samples=10), seed=i)
+                engine._saturated[1] = frozenset(np.flatnonzero(rng.random(g.n) < 0.3).tolist())
+                slots = [frozenset(e for e in cls.crucial_edges if rng.random() < 0.6)
+                         for _ in range(alpha + 1)]
+                region = set(np.flatnonzero(rng.random(g.n) < 0.5).tolist())
+                base = RandomStream(i, ("level1",))
+                for rand in (base, base.perturbed(alpha, region.issuperset)):
+                    for cap in (100_000, 3):
+                        monkeypatch.setattr(vim, "_MAX_CANDIDATE_WALKS", cap)
+                        fast = outcome(engine, lambda t: engine._level_one(slots, rand, t))
+                        generic = outcome(engine, lambda t: engine._node(
+                            1, slots, [frozenset()] * len(slots), rand, t))
+                        assert fast == generic
+    assert seen["selected"] > 0 and seen["capped"] > 0
+
+
+def test_level_one_refuses_steps_that_share_a_vertex(monkeypatch):
+    # A selection that is not independent must abort the node.  Vertex 2 is
+    # saturated, so the candidates are edge 0 in slot 0 and in slot 1: taking
+    # both shares vertices across slots, which the counting identity misses.
+    g = path_graph(2, 0.9)
+    engine = VimEngine(all_crucial(g), VimParams(epsilon=0.3, alpha=1, depth=1,
+                                                 gamma_samples=10), seed=0)
+    assert engine.saturated_set(1) == {2}
+    monkeypatch.setattr(vim, "luby_rounds", lambda members, rounds, priority: mis.MisResult(
+        tuple(range(len(members))), (), 1))
+    with pytest.raises(AssertionError, match="share a vertex"):
+        engine.run(1, [0, 1], key=("shared", 0))
 
 
 def test_enumeration_is_exactly_the_taut_subset():

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
 V = "tests/test_vim.py::"
+M = "tests/test_matching.py::"
 MUTANTS = [
     # -- constants and state of the VIM construction --------------------------
     ("round_factor", "mis.py",
@@ -73,6 +74,21 @@ MUTANTS = [
     ("counting_identity_raise", "vim.py",
      "if d_before + 2 * len(chosen) != d_after:", "if False:",
      ["tests/test_harness.py::test_broken_counting_identity_aborts"]),
+    ("blossom_union_sort", "matching.py",
+     "blossom.sort()", "pass",
+     [M + "test_reference_agreement_on_workload_realizations",
+      M + "test_blossom_results_equal_the_checked_constructor"]),
+    ("blossom_member_lists", "matching.py",
+     "members.pop(b, (b,))", "(b,)",
+     [M + "test_reference_agreement_on_workload_realizations",
+      M + "test_blossom_results_equal_the_checked_constructor"]),
+    ("kahan_compensation", "oracle.py",
+     "comp[e] = (t - total[e]) - y", "comp[e] = 0.0",
+     ["tests/test_oracle.py::test_exact_stats_bits_equal_the_numpy_element_reference"]),
+    # -- the level-1 node ------------------------------------------------------
+    ("level_one_disjointness_raise", "vim.py",
+     "if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):", "if False:",
+     [V + "test_level_one_refuses_steps_that_share_a_vertex"]),
 ]
 
 
