@@ -68,13 +68,11 @@ def max_conflict_degree(members) -> int:
         c = frozenset(m)
         groups[c] = groups.get(c, 0) + k
     groups.pop(frozenset(), None)  # a node without members conflicts with nothing
-    if len(groups) <= 1:
-        return max(sum(groups.values()) - 1, 0)
     by_member: dict = {}
     for c in groups:
         for m in c:
             by_member.setdefault(m, []).append(c)
-    best = 0
+    best = 1  # so that no groups give degree 0
     for c in groups:
         met = set()
         for m in c:
@@ -159,6 +157,8 @@ def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
         if v in nbrs:
             raise ValueError(f"node {v} is its own neighbour")
         for u in nbrs:
+            if not 0 <= u < len(adjacency):
+                raise ValueError(f"node {v} has neighbour {u} outside 0..{len(adjacency) - 1}")
             if v not in adjacency[u]:
                 raise ValueError(f"adjacency is not symmetric: {u} in adjacency[{v}] "
                                  f"but {v} not in adjacency[{u}]")

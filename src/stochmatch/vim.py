@@ -17,15 +17,12 @@ Most nodes are at level 1, where every slot matching is empty, so each
 augmenting hyperwalk is one step (e, s): an edge realized in slot s with
 both endpoints unsaturated.  ``VimEngine._level_one`` selects among those
 steps directly, as sorted ``(u, e, s, v)`` tuples that carry the walks'
-vertices and priority keys, and builds no ``Profile`` or ``Hyperwalk`` and
-runs neither the enumerator nor ``apply_hyperwalks``; the generic node
-body, run at level 1 with empty matchings, is its test reference.  Above
-level 1 the enumerator keeps its fixed cost low: the last step of a walk is
-tested without being pushed (no cover-count updates, and the orientation
-rejects half the steps first), an empty matching offers its realized set as
-add steps as it is, a slot's cover-count row is built only when a step is
-pushed in it, and walks are collected as tuples, sorted, and only then
-built as ``Hyperwalk`` objects without re-checking them.
+vertices and priority keys, with no ``Profile``, enumerator, ``Hyperwalk``
+or ``apply_hyperwalks``; the generic node body, run at level 1 with empty
+matchings, is its test reference.  Above level 1 the enumerator tests the
+last step of a walk without pushing it (no cover-count updates, and the
+orientation rejects half the steps first), and collects walks as tuples,
+sorts them, and only then makes them ``Hyperwalk`` values.
 
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
@@ -55,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,43 +134,28 @@ class VimParams:
         return cls(epsilon=epsilon, alpha=alpha, depth=depth, walk_cap=walk_cap, **overrides)
 
 
-class Hyperwalk:
+class _Walk(NamedTuple):
+    steps: tuple[tuple[int, int], ...]
+    vertices: tuple[int, ...]
+
+
+class Hyperwalk(_Walk):
     """A walk in the crucial graph whose steps carry profile-slot labels.
 
-    Immutable, with value equality and hash over (steps, vertices).  The
-    public constructor checks the lengths; the enumerator, whose walks are
-    valid by construction, builds them through ``_unchecked_walk``.
+    An immutable ``(steps, vertices)`` tuple, equal to and hashing as the
+    plain tuple of its two fields.  The constructor checks the lengths; the
+    enumerator, whose walks are valid by construction, builds them with
+    ``tuple.__new__``.
     """
 
-    __slots__ = ("steps", "vertices")
+    __slots__ = ()
 
-    def __init__(self, steps: tuple[tuple[int, int], ...], vertices: tuple[int, ...]):
+    def __new__(cls, steps: tuple[tuple[int, int], ...], vertices: tuple[int, ...]):
         if len(vertices) != len(steps) + 1:
             raise ValueError("a walk on k edges visits k + 1 vertices")
         if not steps:
             raise ValueError("hyperwalks have size at least 1")
-        _set_steps(self, steps)
-        _set_vertices(self, vertices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Hyperwalk is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Hyperwalk is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Hyperwalk:
-            return NotImplemented
-        return self.steps == other.steps and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.steps, self.vertices))
-
-    def __repr__(self):
-        return f"Hyperwalk(steps={self.steps!r}, vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        return Hyperwalk, (self.steps, self.vertices)
+        return tuple.__new__(cls, (steps, vertices))
 
     @property
     def size(self) -> int:
@@ -181,17 +164,6 @@ class Hyperwalk:
     @property
     def endpoints(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
-
-
-_set_steps = Hyperwalk.steps.__set__
-_set_vertices = Hyperwalk.vertices.__set__
-
-
-def _unchecked_walk(steps, vertices) -> Hyperwalk:
-    w = object.__new__(Hyperwalk)
-    _set_steps(w, steps)
-    _set_vertices(w, vertices)
-    return w
 
 
 class Profile:
@@ -257,29 +229,25 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     without being pushed: an even step ends no walk, and an odd step ends
     one exactly when nothing is over-covered yet, its endpoint is a new
     unsaturated vertex, the orientation holds, the step is unused, and
-    neither of its vertices is covered once already in its slot.  With
-    every matching empty the walks are single steps, and half of them fail
-    the orientation before any other work; level-1 nodes, whose matchings
-    are all empty, no longer come here (``VimEngine._level_one``).
+    neither of its vertices is covered once already in its slot.
 
-    The per-slot tables are built lazily: a slot with an empty matching
-    offers every realized edge as an add step, and a slot's cover-count row
-    is built the first time a step is pushed in it.  Until then its counts
-    are the slot's cover, which the leaf test reads directly.
+    Each slot's cover-count row starts as its cover: 1 at each vertex its
+    matching covers, 0 elsewhere.
     """
     cadj = profile.cls.crucial_adjacency()
     n = profile.cls.graph.n
-    cover = profile.cover
     add_slots: dict[int, list[int]] = {}
     rem_slots: dict[int, list[int]] = {}
+    rows: list[list[int]] = []
     for s, (real, mat) in enumerate(zip(profile.realized, profile.matchings)):
-        if mat:
-            real = real - mat
-            for e in mat:
-                rem_slots.setdefault(e, []).append(s)
-        for e in real:
+        for e in real - mat:
             add_slots.setdefault(e, []).append(s)
-    rows: dict[int, list[int]] = {}
+        for e in mat:
+            rem_slots.setdefault(e, []).append(s)
+        row = [0] * n
+        for v in profile.cover[s]:
+            row[v] = 1
+        rows.append(row)
     found: list[tuple] = []
     steps: list[tuple[int, int]] = []
     verts: list[int] = []
@@ -296,12 +264,8 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
                 step = (e, s)
                 if steps and (not steps[0] < step or step in steps):
                     continue
-                row = rows.get(s)
-                if row is None:
-                    cov = cover[s]
-                    if cur in cov or nbr in cov:
-                        continue
-                elif row[cur] == 1 or row[nbr] == 1:
+                row = rows[s]
+                if row[cur] == 1 or row[nbr] == 1:
                     continue
                 found.append((v0, (*steps, step), (*verts, nbr)))
 
@@ -319,11 +283,7 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
                 step = (e, s)
                 if step in steps:
                     continue
-                row = rows.get(s)
-                if row is None:
-                    row = rows[s] = [0] * n
-                    for v in cover[s]:
-                        row[v] = 1
+                row = rows[s]
                 row[cur] += d
                 row[nbr] += d
                 moved = d * ((row[cur] == flip) + (row[nbr] == flip))
@@ -352,7 +312,8 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     # Plain tuple order is (first vertex, steps): the steps and the first
     # vertex fix the walk, so the vertices never decide.
     found.sort()
-    return [_unchecked_walk(walk_steps, walk_verts) for _, walk_steps, walk_verts in found]
+    return [tuple.__new__(Hyperwalk, (walk_steps, walk_verts))
+            for _, walk_steps, walk_verts in found]
 
 
 def build_conflict_graph(walks) -> list[set[int]]:
@@ -509,6 +470,8 @@ class VimEngine:
     def run(self, depth: int, crealization, key: tuple = ("run",),
             trace: list | None = None) -> frozenset[int]:
         """Matching (edge ids) of the given crucial realization at ``depth``."""
+        if depth < 0:
+            raise ValueError(f"depth must be at least 0, got {depth}")
         creal = frozenset(int(e) for e in crealization)
         if not creal <= self._cedge_set:
             raise ValueError("input realization contains non-crucial edges")
@@ -632,6 +595,8 @@ class VimEngine:
         """Smallest rho such that resampling all randomness whose locus leaves
         the rho-ball around v (in the crucial graph) never changes whether v
         is matched, over ``trials`` perturbations per radius."""
+        if depth < 0:
+            raise ValueError(f"depth must be at least 0, got {depth}")
         # Freeze gamma tables with the engine's own randomness first, so the
         # saturation thresholds are constants of the perturbed runs.
         for level in range(1, depth + 1):

@@ -155,6 +155,10 @@ def test_apx_mis_rejects_asymmetric_or_looped_adjacency():
         apx_mis([{1}, set()], epsilon=0.2, seed=0)
     with pytest.raises(ValueError, match="own neighbour"):
         apx_mis([{0, 1}, {0}], epsilon=0.2, seed=0)
+    with pytest.raises(ValueError, match="node 0 has neighbour 5 outside 0..0"):
+        apx_mis([{5}], epsilon=0.2, seed=0)
+    with pytest.raises(ValueError, match="node 0 has neighbour -1 outside 0..0"):
+        apx_mis([{-1}], epsilon=0.2, seed=0)
 
 
 def test_apx_mis_results_pinned():

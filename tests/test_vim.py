@@ -80,7 +80,8 @@ def test_hyperwalk_is_an_immutable_value():
     b = Hyperwalk(((0, 0), (1, 2), (3, 0)), (0, 1, 2, 3))
     c = Hyperwalk(((0, 0), (1, 2), (3, 1)), (0, 1, 2, 3))
     assert a == b and hash(a) == hash(b) and a is not b
-    assert a != c and a != (a.steps, a.vertices)
+    assert a != c
+    assert a == (a.steps, a.vertices) and hash(a) == hash((a.steps, a.vertices))
     assert {a, b, c} == {a, c} and b in {a}
     assert repr(a) == "Hyperwalk(steps=((0, 0), (1, 2), (3, 0)), vertices=(0, 1, 2, 3))"
     assert (a.size, a.endpoints) == (3, (0, 3))
@@ -290,6 +291,7 @@ def test_conflict_graph_hub_clique():
 # one group, and members may come as lists.
 @example([[0, 1, 2], [2, 1, 0], [1, 0, 2, 2], [3, 4], [4, 3], [2, 3], [5, 6], [6, 5, 0]])
 @example([[1, 0], [0, 1], [0, 1]])
+@example([])
 def test_max_conflict_degree_equals_the_conflict_graph(vertex_lists):
     walks = [Hyperwalk(tuple((i, 0) for i in range(len(vs) - 1)), tuple(vs))
              for vs in vertex_lists]
@@ -363,6 +365,16 @@ def test_depth_zero_is_empty():
     params = VimParams(epsilon=0.3, alpha=0, depth=0, gamma_samples=10)
     z = VimEngine(cls, params, seed=1).run(0, [0])
     assert len(z) == 0
+
+
+def test_negative_depth_is_refused():
+    engine = _path3_engine()
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        engine.run(-1, [0])
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        engine.gamma_table(-1)
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        engine.dependency_radius(0, -1)
 
 
 def test_single_edge_level_one_matches_when_realized():

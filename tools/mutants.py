@@ -9,14 +9,18 @@ the run times out (a broken loop can hang); it survives when the tests pass.
 First the named tests of every mutant run once on the unmutated copy and
 must pass, so a kill is the mutation's doing.
 
+Expected survivors are mutants that no test can kill, each with the reason:
+they must pass their tests, so a test that starts killing one shows that
+the reason no longer holds.
+
 Run every mutant from the repository root, with pytest and hypothesis
 installed:
 
     python tools/mutants.py
 
-The exit status is 1 when a mutant survives, a mutant cannot be applied or
-run, or the unmutated tests fail.  Only the standard library is imported
-here; pytest runs in child processes.
+The exit status is 1 when a mutant survives, an expected survivor is
+killed, a mutant cannot be applied or run, or the unmutated tests fail.
+Only the standard library is imported here; pytest runs in child processes.
 """
 
 from __future__ import annotations
@@ -89,6 +93,30 @@ MUTANTS = [
     ("level_one_disjointness_raise", "vim.py",
      "if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):", "if False:",
      [V + "test_level_one_refuses_steps_that_share_a_vertex"]),
+    # -- what the enumerator and the walk value keep ---------------------------
+    ("leaf_cover_test", "vim.py",
+     "if row[cur] == 1 or row[nbr] == 1:", "if False:",
+     [V + "test_enumeration_matches_reference_enumerator"]),
+    ("walk_length_check", "vim.py",
+     "if len(vertices) != len(steps) + 1:", "if False:",
+     [V + "test_hyperwalk_constructor_checks_lengths"]),
+    ("conflict_degree_start", "mis.py",
+     "best = 1  #", "best = 0  #",
+     [V + "test_max_conflict_degree_equals_the_conflict_graph"]),
+]
+
+# (name, file, old text, new text, the tests it must pass, why it is equivalent)
+SURVIVORS = [
+    ("leaf_step_in_steps", "vim.py",
+     "(not steps[0] < step or step in steps)", "(not steps[0] < step)",
+     ["tests/test_vim.py", "tests/test_harness.py"],
+     "an add step already in the walk leaves both its vertices covered once in "
+     "its slot, so the leaf's cover-row test already rejects it"),
+    ("level_one_identity_raise", "vim.py",
+     "if d_after != 2 * len(chosen):", "if False:",
+     ["tests/test_vim.py", "tests/test_harness.py"],
+     "chosen steps that pass the vertex-disjointness raise just above cover "
+     "2 * selected distinct (slot, vertex) pairs"),
 ]
 
 
@@ -120,36 +148,47 @@ def apply(dest: Path, file: str, old: str, new: str):
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
+def run_mutant(tmp: str, name: str, file: str, old: str, new: str, tests) -> tuple[str, str]:
+    """Apply one mutant to a fresh copy and run its tests, as ``run_tests``;
+    ('error', reason) when the old text cannot be replaced."""
+    work = Path(tmp) / name
+    copy_tree(work)
+    try:
+        apply(work, file, old, new)
+        return run_tests(work, tests)
+    except ValueError as exc:
+        return "error", f"cannot apply: {exc}"
+    finally:
+        shutil.rmtree(work)
+
+
 def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        all_tests = list(dict.fromkeys(t for m in MUTANTS for t in m[4]))
+        all_tests = list(dict.fromkeys(t for m in MUTANTS + SURVIVORS for t in m[4]))
         status, tail = run_tests(clean, all_tests)
         print(f"unmutated: {status} ({len(all_tests)} tests)", flush=True)
         if status != "pass":
             print(tail)
             return 1
-        for name, file, old, new, tests in MUTANTS:
+        # A survivor entry carries its reason as a sixth field.
+        for name, file, old, new, tests, *why in MUTANTS + SURVIVORS:
             start = time.perf_counter()
-            work = Path(tmp) / name
-            copy_tree(work)
-            try:
-                apply(work, file, old, new)
-            except ValueError as exc:
-                print(f"{name}: cannot apply: {exc}")
-                failures += 1
-                continue
-            status, tail = run_tests(work, tests)
+            status, tail = run_mutant(tmp, name, file, old, new, tests)
             verdict = {"fail": "killed", "timeout": "killed (timeout)",
-                       "pass": "SURVIVED"}.get(status, "ERROR")
-            print(f"{name}: {verdict} in {time.perf_counter() - start:.1f}s", flush=True)
-            if status not in ("fail", "timeout"):
+                       "pass": "survived"}.get(status, "ERROR")
+            expected = status == "pass" if why else status in ("fail", "timeout")
+            note = f" ({why[0]})" if why else ""
+            print(f"{name}: {verdict}{'' if expected else ' UNEXPECTEDLY'} in "
+                  f"{time.perf_counter() - start:.1f}s{note}", flush=True)
+            if not expected:
                 failures += 1
                 print(tail)
-            shutil.rmtree(work)
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    total = len(MUTANTS) + len(SURVIVORS)
+    print(f"{total - failures} of {total} mutants as expected "
+          f"({len(MUTANTS)} to be killed, {len(SURVIVORS)} to survive)")
     return 1 if failures else 0
 
 
