@@ -307,8 +307,9 @@ def classify(
 ) -> EdgeClassification:
     """Label edges crucial (q >= tau_plus) / non-crucial (q <= tau_minus) / ignored.
 
-    The locality radius lambda defaults to c_lambda * log2(delta_C + 2); the
-    paper-scale form epsilon^-20 * log2(delta_C) sits behind an overflow guard.
+    The locality radius lambda defaults to c_lambda * log2(delta_C + 2), with
+    c_lambda > 0; the paper-scale form epsilon^-20 * log2(delta_C), which
+    ignores c_lambda, sits behind an overflow guard.
     """
     if not (tau_minus < tau_plus):
         raise ValueError(f"need tau_minus < tau_plus, got ({tau_minus}, {tau_plus})")
@@ -324,6 +325,8 @@ def classify(
     deg = g.vertex_sums(crucial)
     delta_c = int(deg.max()) if deg.size else 0
     if lambda_mode == "desk":
+        if not c_lambda > 0:
+            raise ValueError(f"c_lambda must be positive, got {c_lambda}")
         lam = c_lambda * math.log2(delta_c + 2)
     elif lambda_mode == "paper":
         lam = epsilon**-20 * math.log2(max(delta_c, 2))

@@ -137,8 +137,9 @@ def generate(family: str, params: dict, seed=0) -> StochasticGraph:
     """Dispatch on family name; used by the CLI and config files.
 
     An unknown family, params that are not a dict, a missing parameter, or
-    one that is not a number (``p``: a number or a range of two) raise
-    ``ValueError`` naming the family and the parameter."""
+    one that is not a number (``p``: a number or a range of two; a bool is
+    none) or, for a vertex count, not a whole number raise ``ValueError``
+    naming the family and the parameter.  Numeric strings are converted."""
     try:
         builder = _FAMILIES[family]
     except KeyError:
@@ -152,11 +153,19 @@ def generate(family: str, params: dict, seed=0) -> StochasticGraph:
         if name not in params and default is None:
             raise ValueError(f"family {family!r} needs parameter {name!r}")
         value = params.get(name, default)
+        items = value if isinstance(value, (tuple, list)) else (value,)
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            # float(True) is 1.0, but a bool, alone or in a range, is no number.
+            if kind is not str and any(isinstance(x, bool) for x in items):
+                raise TypeError
+            converted = kind(value)
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
             what = "a number or a range of two numbers" if kind is _prob else "a number"
             raise ValueError(f"family {family!r}: parameter {name!r} must be {what}, "
                              f"got {value!r}") from None
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"family {family!r}: parameter {name!r} must be a whole "
+                             f"number, got {value!r}")
+        return converted
 
     return builder(arg, seed)

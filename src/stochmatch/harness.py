@@ -341,6 +341,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.mode not in ("desk", "paper"):
             raise ValueError(f"mode must be 'desk' or 'paper', got {self.mode!r}")
+        fixed = [k for k in ("alpha", "depth", "walk_cap") if getattr(self, k) is not None]
+        if self.mode == "paper" and fixed:
+            raise ValueError(f"paper mode takes alpha, depth and walk_cap from epsilon; "
+                             f"unset {fixed}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -52,22 +52,15 @@ def mis_round_budget(max_degree: int, epsilon: float) -> int:
 def max_conflict_degree(members) -> int:
     """Largest number of other nodes that share a member with one node.
 
-    Nodes with one member set C share members with the same nodes, so each
-    has degree (number of nodes whose member set meets C) - 1.  One pass
-    counts the nodes per member tuple; a frozenset is built only per
-    distinct tuple, and tuples that give the same set (members listed in
-    another order, or twice) are merged into one group.  Only the groups are
-    intersected.
+    One pass counts the nodes per member tuple, and only these groups are
+    intersected: a node of tuple C has degree (number of nodes whose tuple
+    meets C) - 1.  One set in two orders, or with a repeat, is two groups
+    that meet, and a group without members meets nothing.
     """
-    by_tuple: dict[tuple, int] = {}
+    groups: dict[tuple, int] = {}
     for m in members:
         m = tuple(m)
-        by_tuple[m] = by_tuple.get(m, 0) + 1
-    groups: dict[frozenset, int] = {}
-    for m, k in by_tuple.items():
-        c = frozenset(m)
-        groups[c] = groups.get(c, 0) + k
-    groups.pop(frozenset(), None)  # a node without members conflicts with nothing
+        groups[m] = groups.get(m, 0) + 1
     by_member: dict = {}
     for c in groups:
         for m in c:
@@ -131,8 +124,6 @@ def luby_rounds(members, rounds: int, priority) -> MisResult:
             else:
                 joined.append(v)
                 taken.update(mems)
-        if not joined:
-            continue
         chosen.extend(joined)
         undecided = {u for u in undecided if taken.isdisjoint(members[u])}
         # A joiner with no members takes nothing, so drop the joiners too.

@@ -9,7 +9,7 @@ independent set, and applies them.  The returned matching is slot 0's.
 Two walks conflict when they share a vertex.  The independent set runs on
 each walk's vertices as its members, and the round budget needs only the
 largest conflict degree, which ``mis.max_conflict_degree`` computes from the
-walks grouped by vertex set; so no pairwise conflict graph is built on the
+walks grouped by member tuple; so no pairwise conflict graph is built on the
 hot path (``build_conflict_graph`` stays as the explicit form and the test
 oracle).  Applying the chosen walks rebuilds only the slots they touch.
 
@@ -228,8 +228,8 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
     or the walk is at ``walk_cap`` steps.  There the last step is tested
     without being pushed: an even step ends no walk, and an odd step ends
     one exactly when nothing is over-covered yet, its endpoint is a new
-    unsaturated vertex, the orientation holds, the step is unused, and
-    neither of its vertices is covered once already in its slot.
+    unsaturated vertex, the orientation holds, and neither of its vertices
+    is covered once already in its slot (as a step already in the walk is).
 
     Each slot's cover-count row starts as its cover: 1 at each vertex its
     matching covers, 0 elsewhere.
@@ -262,7 +262,7 @@ def enumerate_augmenting_hyperwalks(profile: Profile, saturated, walk_cap: int):
                 continue
             for s in add_slots.get(e, ()):
                 step = (e, s)
-                if steps and (not steps[0] < step or step in steps):
+                if steps and not steps[0] < step:
                     continue
                 row = rows[s]
                 if row[cur] == 1 or row[nbr] == 1:
@@ -380,7 +380,8 @@ class VimEngine:
 
     Gamma tables (per-vertex matched frequency at each level) are memoized on
     the engine, so every saturation decision at a level shares one estimate
-    and the tables act as constants of any individual run.
+    and the tables act as constants of any individual run, perturbed ones
+    included: ``matched_indicators`` builds them with the engine's own stream.
     """
 
     def __init__(self, classification: EdgeClassification, params: VimParams, seed: int):
@@ -388,7 +389,6 @@ class VimEngine:
         self.params = params
         self.rand = RandomStream(seed, ("vim",))
         self._gamma: dict[int, np.ndarray] = {}
-        self._gamma_se: dict[int, np.ndarray] = {}
         self._saturated: dict[int, frozenset[int]] = {}
         self.max_mis_rounds = 0
         self.perturbations_run = 0
@@ -427,19 +427,14 @@ class VimEngine:
         return self._gamma[r]
 
     def gamma_se(self, r: int) -> np.ndarray:
-        self.gamma_table(r)
-        return self._gamma_se[r]
+        return binomial_se(self.gamma_table(r), self.params.gamma_samples)
 
     def _build_gamma(self, r: int):
-        n = self.cls.graph.n
         if r == 0:
-            self._gamma[0] = np.zeros(n)
-            self._gamma_se[0] = np.zeros(n)
-            return
-        samples = self.params.gamma_samples
-        gam = self.matched_indicators(("gamma", r), samples, r).mean(axis=0)
-        self._gamma[r] = gam
-        self._gamma_se[r] = binomial_se(gam, samples)
+            self._gamma[0] = np.zeros(self.cls.graph.n)
+        else:
+            self._gamma[r] = self.matched_indicators(
+                ("gamma", r), self.params.gamma_samples, r).mean(axis=0)
 
     def saturated_set(self, r: int) -> frozenset[int]:
         """Vertices saturated at level r, from the level r-1 gamma table.
@@ -450,7 +445,7 @@ class VimEngine:
         """
         if r not in self._saturated:
             gam = self.gamma_table(r - 1)
-            se = self._gamma_se[r - 1]
+            se = self.gamma_se(r - 1)
             threshold = self.cls.c_v - self.params.slack - self.params.gamma_ci_factor * se
             self._saturated[r] = frozenset(int(v) for v in np.flatnonzero(gam >= threshold))
         return self._saturated[r]
@@ -503,20 +498,15 @@ class VimEngine:
         members = [(u, v) for u, _, _, v in cands]
         result = self._select(1, members, [ik[u] + ik[e] + ik[s] for u, e, s, _ in cands], rand)
         chosen = [cands[i] for i in result.in_set]
+        # Disjoint steps keep each slot a matching, so the covers sum to 2 * selected.
         if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):
             raise AssertionError("level-1 steps chosen by the independent set share a vertex")
-        # Each chosen step covers its two vertices in its slot: the slot
-        # covers sum to 2 * selected exactly when the slots stay matchings.
-        d_after = len({(s, x) for u, _, s, v in chosen for x in (u, v)})
-        if d_after != 2 * len(chosen):
-            raise AssertionError(
-                f"counting identity failed at level 1: 0 + 2*{len(chosen)} != {d_after}")
         if trace is not None:
             sizes = [0] * len(slots)
             for _, _, s, _ in chosen:
                 sizes[s] += 1
-            trace.append(LevelTrace(1, 0, d_after, len(chosen), len(cands), result.rounds,
-                                    len(result.undecided), tuple(sizes)))
+            trace.append(LevelTrace(1, 0, 2 * len(chosen), len(chosen), len(cands),
+                                    result.rounds, len(result.undecided), tuple(sizes)))
         z = frozenset(e for _, e, s, _ in chosen if s == 0)
         if not z <= slots[0]:
             raise AssertionError("returned matching left the input realization")
@@ -597,10 +587,8 @@ class VimEngine:
         is matched, over ``trials`` perturbations per radius."""
         if depth < 0:
             raise ValueError(f"depth must be at least 0, got {depth}")
-        # Freeze gamma tables with the engine's own randomness first, so the
-        # saturation thresholds are constants of the perturbed runs.
-        for level in range(1, depth + 1):
-            self.saturated_set(level)
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
         dist = self.cls.crucial_distances(v)
         ecc = max(dist.values()) if dist else 0
         key = ("dep", v)

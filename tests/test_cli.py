@@ -233,12 +233,24 @@ def test_guard_errors_exit_2(capsys, tmp_path):
      "config key 'seed' must be int, got bool True"),
     (["experiment", "--config", "TMP/ratio_outer_one.json"],
      "ratio_outer must be at least 2, got 1"),
+    (["experiment", "--config", "TMP/c_lambda_negative.json"],
+     "c_lambda must be positive, got -1.0"),
+    (["vim", "--family", "path", "--params", '{"n": 3, "p": 0.6}', "--paper-constants",
+      "--alpha", "5"], "paper mode takes alpha, depth and walk_cap from epsilon; unset ['alpha']"),
+    (["gen", "--family", "path", "--params", '{"n": 3.9, "p": 0.5}'],
+     "family 'path': parameter 'n' must be a whole number, got 3.9"),
+    (["gen", "--family", "path", "--params", '{"n": Infinity, "p": 0.5}'],
+     "family 'path': parameter 'n' must be a number, got inf"),
+    (["gen", "--family", "erdos_renyi", "--params", '{"n": 4, "edge_density": true, "p": 0.5}'],
+     "family 'erdos_renyi': parameter 'edge_density' must be a number, got True"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
         "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",
         "p_range_of_one", "p_null", "n_null", "config_unknown_key", "config_not_an_object",
         "config_with_input_flags", "gen_without_a_graph", "config_epsilon_a_string",
-        "config_q_samples_a_float", "config_seed_a_bool", "config_ratio_outer_one"])
+        "config_q_samples_a_float", "config_seed_a_bool", "config_ratio_outer_one",
+        "config_c_lambda_negative", "paper_mode_with_alpha", "n_fractional", "n_infinite",
+        "density_bool"])
 def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message):
     (tmp_path / "unknown_key.json").write_text('{"graph_family": "path", "nosuch": 1}')
     (tmp_path / "list.json").write_text('[1, 2]')
@@ -247,6 +259,7 @@ def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message
     (tmp_path / "q_samples_float.json").write_text('{%s, "q_samples": 2.5}' % graph)
     (tmp_path / "seed_bool.json").write_text('{%s, "seed": true}' % graph)
     (tmp_path / "ratio_outer_one.json").write_text('{%s, "ratio_outer": 1}' % graph)
+    (tmp_path / "c_lambda_negative.json").write_text('{%s, "c_lambda": -1.0}' % graph)
     code = main([a.replace("TMP", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -270,6 +270,16 @@ def test_distances_and_lambda():
     assert cls.lam == pytest.approx(2 * math.log2(cls.delta_C + 2))
 
 
+def test_classify_refuses_a_non_positive_c_lambda():
+    g = path2()
+    for c_lambda in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"c_lambda must be positive, got {c_lambda}"):
+            classify(g, [0.5, 0.5], 0.1, 0.4, epsilon=0.3, c_lambda=c_lambda)
+    # Paper mode takes lambda from epsilon alone.
+    cls = classify(g, [0.5, 0.5], 0.1, 0.4, epsilon=0.9, c_lambda=-1.0, lambda_mode="paper")
+    assert cls.lam == pytest.approx(0.9**-20)
+
+
 def test_paper_lambda_guard():
     g = path2()
     with pytest.raises(ParameterOverflowError):

@@ -201,6 +201,13 @@ def test_config_validation():
         ExperimentConfig(graph_family="path", q_samples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(graph_family="path", mode="quick")
+    # Paper mode derives alpha, depth and walk_cap from epsilon, so setting
+    # any of them is refused rather than dropped.
+    with pytest.raises(ValueError, match=r"unset \['alpha', 'depth', 'walk_cap'\]"):
+        ExperimentConfig(graph_family="path", mode="paper", epsilon=0.9, alpha=5, depth=1,
+                         walk_cap=4)
+    with pytest.raises(ValueError, match=r"unset \['walk_cap'\]"):
+        ExperimentConfig(graph_family="path", mode="paper", epsilon=0.9, walk_cap=4)
     # estimate_ratio needs two outer and two denominator samples; the config
     # says so before any stage runs.
     for key in ("ratio_outer", "ratio_denom"):

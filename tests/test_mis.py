@@ -134,6 +134,16 @@ def test_luby_rounds_equals_the_neighbour_rule(members, levels, rounds, seed):
     assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
 
 
+@pytest.mark.parametrize("members", [
+    [[], [0, 1], [1, 0], [1, 1]], [[]], [[], []], [[], [2]],
+], ids=["memberless_reordered_repeated", "one_memberless", "two_memberless", "beside_one"])
+def test_max_conflict_degree_of_memberless_nodes(members):
+    # A node without members conflicts with nothing, and one set listed in
+    # two orders or with a repeat still counts each neighbour once.
+    adj = _shared_member_adjacency(members)
+    assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
+
+
 def test_luby_rounds_tie_at_a_shared_member_blocks_both():
     # Nodes 0 and 1 tie at member "a"; node 2 is alone.  Neither tied node
     # may join, however often the round repeats.

@@ -292,6 +292,7 @@ def test_conflict_graph_hub_clique():
 @example([[0, 1, 2], [2, 1, 0], [1, 0, 2, 2], [3, 4], [4, 3], [2, 3], [5, 6], [6, 5, 0]])
 @example([[1, 0], [0, 1], [0, 1]])
 @example([])
+@example([[0, 1], [1, 0], [1, 1]])
 def test_max_conflict_degree_equals_the_conflict_graph(vertex_lists):
     walks = [Hyperwalk(tuple((i, 0) for i in range(len(vs) - 1)), tuple(vs))
              for vs in vertex_lists]
@@ -375,6 +376,13 @@ def test_negative_depth_is_refused():
         engine.gamma_table(-1)
     with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
         engine.dependency_radius(0, -1)
+
+
+def test_dependency_radius_needs_a_trial():
+    engine = _path3_engine()
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            engine.dependency_radius(0, 1, trials=trials)
 
 
 def test_single_edge_level_one_matches_when_realized():

@@ -37,6 +37,7 @@ TIMEOUT_S = 120
 
 V = "tests/test_vim.py::"
 M = "tests/test_matching.py::"
+C = "tests/test_cli.py::"
 MUTANTS = [
     # -- constants and state of the VIM construction --------------------------
     ("round_factor", "mis.py",
@@ -64,7 +65,7 @@ MUTANTS = [
      '"outer": 2', '"outer": 1',
      ["tests/test_harness.py::test_config_validation",
       "tests/test_harness.py::test_estimate_ratio_needs_two_outer_and_denominator_samples",
-      "tests/test_cli.py::test_input_errors_exit_2_without_a_traceback[config_ratio_outer_one]"]),
+      C + "test_input_errors_exit_2_without_a_traceback[config_ratio_outer_one]"]),
     ("f_vertex_sum", "certificate.py",
      "g.vertex_sums(fv) <= 1.0 + 1e-12", "g.vertex_sums(fv) <= 2.0",
      ["tests/test_certificate.py::test_f_property_checks_fail_on_vertex_sums_over_one"]),
@@ -103,20 +104,37 @@ MUTANTS = [
     ("conflict_degree_start", "mis.py",
      "best = 1  #", "best = 0  #",
      [V + "test_max_conflict_degree_equals_the_conflict_graph"]),
+    # -- argument checks -------------------------------------------------------
+    ("c_lambda_positive", "decomposition.py",
+     "if not c_lambda > 0:", "if False:",
+     ["tests/test_decomposition.py::test_classify_refuses_a_non_positive_c_lambda",
+      C + "test_input_errors_exit_2_without_a_traceback[config_c_lambda_negative]"]),
+    ("paper_mode_fixed_fields", "harness.py",
+     'if self.mode == "paper" and fixed:', "if False:",
+     ["tests/test_harness.py::test_config_validation",
+      C + "test_input_errors_exit_2_without_a_traceback[paper_mode_with_alpha]"]),
+    ("dependency_radius_trials", "vim.py",
+     "if trials < 1:", "if False:",
+     [V + "test_dependency_radius_needs_a_trial"]),
+    ("generator_bool", "generators.py",
+     "if kind is not str and any(isinstance(x, bool) for x in items):", "if False:",
+     [C + "test_input_errors_exit_2_without_a_traceback[density_bool]"]),
+    ("generator_whole_number", "generators.py",
+     "if kind is int and isinstance(value, float) and not value.is_integer():", "if False:",
+     [C + "test_input_errors_exit_2_without_a_traceback[n_fractional]"]),
+    ("generator_overflow", "generators.py",
+     "(TypeError, ValueError, OverflowError)", "(TypeError, ValueError)",
+     [C + "test_input_errors_exit_2_without_a_traceback[n_infinite]"]),
 ]
 
 # (name, file, old text, new text, the tests it must pass, why it is equivalent)
 SURVIVORS = [
-    ("leaf_step_in_steps", "vim.py",
-     "(not steps[0] < step or step in steps)", "(not steps[0] < step)",
+    ("leaf_orientation_le", "vim.py",
+     "if steps and not steps[0] < step:", "if steps and not steps[0] <= step:",
      ["tests/test_vim.py", "tests/test_harness.py"],
-     "an add step already in the walk leaves both its vertices covered once in "
-     "its slot, so the leaf's cover-row test already rejects it"),
-    ("level_one_identity_raise", "vim.py",
-     "if d_after != 2 * len(chosen):", "if False:",
-     ["tests/test_vim.py", "tests/test_harness.py"],
-     "chosen steps that pass the vertex-disjointness raise just above cover "
-     "2 * selected distinct (slot, vertex) pairs"),
+     "a last step equal to the first is an add step already in the walk, which "
+     "leaves both its vertices covered once in its slot, so the leaf's cover-row "
+     "test already rejects it"),
 ]
 
 
