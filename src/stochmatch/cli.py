@@ -41,7 +41,7 @@ from .harness import (
     run_f_property_batch,
     run_pipeline,
 )
-from .oracle import exact_stats
+from .oracle import DEFAULT_EDGE_CAP, exact_stats
 from .reduction import contract
 from .sparsifier import build_baseline_iterative, build_q
 from .vim import VimEngine
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("gen", _cmd_gen, (), help="emit a generated graph in the standard format")
 
     p = command("oracle", _cmd_oracle, ("out",), help="exact opt and q by full enumeration")
-    p.add_argument("--cap", type=int, default=20, help="edge-count enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_EDGE_CAP,
+                   help="edge-count enumeration cap (default %(default)s)")
 
     command("decompose", _cmd_decompose, ("epsilon", "samples", "out", "schedule"),
             help="estimate q, pick thresholds, classify")

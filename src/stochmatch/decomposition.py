@@ -106,26 +106,20 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
     while done < samples:
         take = min(_SAMPLE_BLOCK, samples - done)
         present = stream.child("block", block_index).uniforms((take, m)) < g.ps
-        # Python ints per block: one numpy update per block, not per matched edge.
-        block_counts = [0] * m
         if by_mask:
             masks = (present.astype(np.uint64) * pow2).sum(axis=1, dtype=np.uint64)
             uniq, cnt = np.unique(masks, return_counts=True)
-            for mask, c in zip(uniq.tolist(), cnt.tolist()):
-                matched = matched_by_mask(g, mask)
-                k = len(matched)
-                sum_mu += k * c
-                sum_mu_sq += k * k * c
-                for e in matched:
-                    block_counts[e] += c
+            tallies = zip(map(matched_by_mask, [g] * len(uniq), uniq.tolist()), cnt.tolist())
         else:
-            for row in present:
-                matched = max_matching(g, Realization(g, row)).edges
-                k = len(matched)
-                sum_mu += k
-                sum_mu_sq += k * k
-                for e in matched:
-                    block_counts[e] += 1
+            tallies = ((max_matching(g, Realization(g, row)).edges, 1) for row in present)
+        # Python ints per block: one numpy update per block, not per matched edge.
+        block_counts = [0] * m
+        for matched, c in tallies:
+            k = len(matched)
+            sum_mu += k * c
+            sum_mu_sq += k * k * c
+            for e in matched:
+                block_counts[e] += c
         counts += block_counts
         done += take
         block_index += 1
@@ -137,7 +131,6 @@ class ScheduleResult:
     tau_minus: float
     tau_plus: float
     j: int
-    levels: tuple[float, ...]
     bucket_masses: tuple[float, ...]
 
 
@@ -154,7 +147,6 @@ def _level_iter(epsilon, p_min, f_shape, t0, gamma, levels):
         while True:
             t *= ratio
             yield t
-        return
     if f_shape == "geometric":
         t = 0.9 if t0 is None else float(t0)
         g = float(gamma)
@@ -203,29 +195,23 @@ def threshold_schedule(
     q = np.asarray(q, dtype=float)
     bound = math.ceil(1.0 / epsilon) + 1
     it = _level_iter(epsilon, p_min, f_shape, t0, gamma, levels)
-    seen = [next(it)]
+    t_prev = next(it)
     masses = []
     target = epsilon * opt
     while True:
-        t_prev = seen[-1]
         t_next = next(it)
-        seen.append(t_next)
         mass = float(q[(q > t_next) & (q <= t_prev)].sum())
         masses.append(mass)
         j = len(masses)
-        if mass <= target:
-            assert j <= bound, f"schedule ran {j} buckets, above the ceil(1/eps)+1 = {bound} bound"
-            return ScheduleResult(
-                tau_minus=t_next,
-                tau_plus=t_prev,
-                j=j,
-                levels=tuple(seen),
-                bucket_masses=tuple(masses),
-            )
         if j > bound:
             raise AssertionError(
                 f"schedule failed to terminate within {bound} buckets; bucket masses {masses}"
             )
+        if mass <= target:
+            return ScheduleResult(
+                tau_minus=t_next, tau_plus=t_prev, j=j, bucket_masses=tuple(masses)
+            )
+        t_prev = t_next
 
 
 class EdgeClassification:
@@ -295,6 +281,12 @@ class EdgeClassification:
         return tuple(out)
 
 
+def check_c_lambda(c_lambda: float) -> None:
+    """Refuse a desk-mode locality constant that is not positive."""
+    if not c_lambda > 0:
+        raise ValueError(f"c_lambda must be positive, got {c_lambda}")
+
+
 def classify(
     g: StochasticGraph,
     q,
@@ -325,8 +317,7 @@ def classify(
     deg = g.vertex_sums(crucial)
     delta_c = int(deg.max()) if deg.size else 0
     if lambda_mode == "desk":
-        if not c_lambda > 0:
-            raise ValueError(f"c_lambda must be positive, got {c_lambda}")
+        check_c_lambda(c_lambda)
         lam = c_lambda * math.log2(delta_c + 2)
     elif lambda_mode == "paper":
         lam = epsilon**-20 * math.log2(max(delta_c, 2))

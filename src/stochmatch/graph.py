@@ -201,25 +201,21 @@ def sample_realization(g: StochasticGraph, stream: RandomStream) -> Realization:
 class Matching:
     """A set of pairwise vertex-disjoint edges of a parent graph.
 
-    The public constructor validates the edges eagerly.  The vertex map
-    ``matched_vertex`` (each matched vertex to its partner) is built on first
-    use, since most callers read only ``edges``.
+    The public constructor validates the edges eagerly.
     """
 
-    __slots__ = ("graph", "edges", "_matched")
+    __slots__ = ("graph", "edges")
 
     def __init__(self, graph: StochasticGraph, edge_ids):
         edges = frozenset(int(e) for e in edge_ids)
-        matched = {}
+        covered = set()
         for e in sorted(edges):
             u, v = graph.endpoints(e)
-            if u in matched or v in matched:
+            if u in covered or v in covered:
                 raise ValueError(f"edges {sorted(edges)} are not a matching: vertex reuse at edge {e}")
-            matched[u] = v
-            matched[v] = u
+            covered.update((u, v))
         self.graph = graph
         self.edges = edges
-        self._matched = matched
 
     @classmethod
     def _from_pairs(cls, graph: StochasticGraph, edge_ids) -> "Matching":
@@ -228,20 +224,7 @@ class Matching:
         out = cls.__new__(cls)
         out.graph = graph
         out.edges = frozenset(edge_ids)
-        out._matched = None
         return out
-
-    @property
-    def matched_vertex(self) -> dict[int, int]:
-        """Partner of every matched vertex."""
-        if self._matched is None:
-            matched = {}
-            for e in self.edges:
-                u, v = self.graph.endpoints(e)
-                matched[u] = v
-                matched[v] = u
-            self._matched = matched
-        return self._matched
 
     def __len__(self):
         return len(self.edges)

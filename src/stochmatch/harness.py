@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .certificate import (
     compute_f,
     test_f_properties,
 )
-from .decomposition import classify, estimate_q, threshold_schedule
+from .decomposition import check_c_lambda, classify, estimate_q, threshold_schedule
 from .errors import StochmatchError
 from .generators import generate
 from .graph import Realization, StochasticGraph, sample_realization
@@ -209,16 +210,8 @@ def independence_test(
     X = engine.matched_indicators(("ind",), samples, engine.params.depth)
 
     active = [v for v in range(g.n) if classification.c_v[v] > 0]
-    far_pairs = []
-    for i, u in enumerate(active):
-        for v in active[i + 1:]:
-            d = classification.d_C(u, v)
-            if d >= lam:
-                far_pairs.append((u, v, d))
-            if len(far_pairs) >= _MAX_PAIRS:
-                break
-        if len(far_pairs) >= _MAX_PAIRS:
-            break
+    distances = ((u, v, classification.d_C(u, v)) for u, v in combinations(active, 2))
+    far_pairs = list(islice((p for p in distances if p[2] >= lam), _MAX_PAIRS))
 
     far_results = []
     for u, v, d in far_pairs:
@@ -341,6 +334,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.mode not in ("desk", "paper"):
             raise ValueError(f"mode must be 'desk' or 'paper', got {self.mode!r}")
+        if self.mode == "desk":
+            check_c_lambda(self.c_lambda)
         fixed = [k for k in ("alpha", "depth", "walk_cap") if getattr(self, k) is not None]
         if self.mode == "paper" and fixed:
             raise ValueError(f"paper mode takes alpha, depth and walk_cap from epsilon; "
@@ -553,30 +548,27 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
             tau_plus=schedule.tau_plus,
         )
 
+    opt_ok = assumption_holds(est.opt_hat, config.epsilon, g.n)
     add_check(
         "assumption_opt_not_tiny",
-        "pass" if assumption_holds(est.opt_hat, config.epsilon, g.n) else "info",
+        "pass" if opt_ok else "info",
         opt_hat=est.opt_hat,
         threshold=0.1 * config.epsilon * g.n,
-        recommendation=None
-        if assumption_holds(est.opt_hat, config.epsilon, g.n)
+        recommendation=None if opt_ok
         else "contract the graph (vertex sparsification) before sparsifying",
     )
 
     R = config.sparsifier_R(schedule.tau_minus)
     q_sub = timer.run("build_q", lambda: build_q(g, R, config.seed))
+    max_degree = q_sub.max_member_degree()
     stages["build_q"] = {
         "R": R,
         "members": q_sub.member_edges(),
         "t": q_sub.t.tolist(),
-        "max_degree": q_sub.max_member_degree(),
+        "max_degree": max_degree,
     }
-    add_check(
-        "degree_bound",
-        "pass" if q_sub.max_member_degree() <= R else "fail",
-        max_degree=q_sub.max_member_degree(),
-        R=R,
-    )
+    add_check("degree_bound", "pass" if max_degree <= R else "fail",
+              max_degree=max_degree, R=R)
 
     params = config.vim_params()
     engine = VimEngine(classification, params, config.seed)
@@ -648,7 +640,8 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     freport = timer.run(
         "f_properties",
         lambda: run_f_property_batch(
-            g, classification, R, min(config.cert_runs, 40), config.seed
+            g, classification, R, min(config.cert_runs, 40), config.seed,
+            q_se=est.se_q if oracle is None else None,
         ),
     )
     add_check("f_vertex_sums", "pass" if freport.vertex_sum_ok else "fail")

@@ -157,14 +157,6 @@ class Hyperwalk(_Walk):
             raise ValueError("hyperwalks have size at least 1")
         return tuple.__new__(cls, (steps, vertices))
 
-    @property
-    def size(self) -> int:
-        return len(self.steps)
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
 
 class Profile:
     """Pairs (realized slot, matching of that slot) over the crucial graph."""

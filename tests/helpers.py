@@ -133,7 +133,7 @@ def is_augmenting(profile, walk: Hyperwalk) -> bool:
     """Whether applying the walk keeps every slot a matching, preserves the
     slot-membership count of interior vertices, and raises it by exactly one
     at both (distinct) endpoints."""
-    v0, vk = walk.endpoints
+    v0, vk = walk.vertices[0], walk.vertices[-1]
     if v0 == vk:
         # Coincident endpoints cannot each gain one slot; ruling these out
         # also keeps the per-level counting identity exact.

@@ -76,7 +76,7 @@ def test_matching_validation():
     with pytest.raises(ValueError, match="matching"):
         Matching(g, [0, 1])
     m = Matching(g, [1])
-    assert m.matched_vertex == {1: 2, 2: 1}
+    assert m.edges == frozenset({1})
 
 
 def test_degrees_count_each_listed_edge():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stochmatch.decomposition import classify
+from stochmatch.decomposition import classify, estimate_q
 from stochmatch.generators import (
     bipartite_random,
     clique,
@@ -215,6 +215,15 @@ def test_config_validation():
             ExperimentConfig(graph_family="path", **{key: 1})
 
 
+def test_config_refuses_a_non_positive_desk_c_lambda():
+    # Refused when the config is built, before estimate_q and the oracle run;
+    # paper mode takes lambda from epsilon and ignores c_lambda.
+    for c_lambda in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"c_lambda must be positive, got {c_lambda}"):
+            ExperimentConfig(graph_family="path", c_lambda=c_lambda)
+    assert ExperimentConfig(graph_family="path", mode="paper", c_lambda=-1.0).c_lambda == -1.0
+
+
 def test_estimate_ratio_needs_two_outer_and_denominator_samples():
     # The same minimums as ExperimentConfig's ratio_outer and ratio_denom.
     g = StochasticGraph(2, [(0, 1, 0.5)])
@@ -294,6 +303,32 @@ def test_pipeline_fingerprints_pinned(config, m, fingerprint):
     assert report.stages["graph"]["m"] == m
     assert not report.failed_checks
     assert report.fingerprint() == fingerprint
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("oracle_cap", [1, 14], ids=["estimate", "oracle"])
+def test_pipeline_f_band_counts_the_q_error_without_an_oracle(monkeypatch, oracle_cap):
+    # Without the exact oracle (m = 2 > oracle_cap) q comes from estimate_q,
+    # so the f-edge band must widen by its standard errors, as `certify` does;
+    # with the oracle q is exact and no standard error is passed.
+    seen = {}
+
+    def record(*args, **kwargs):
+        seen.update(kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(harness, "run_f_property_batch", record)
+    config = ExperimentConfig(**PINNED_PIPELINES[0][0], oracle_cap=oracle_cap)
+    with pytest.raises(_Stop):
+        run_pipeline(config)
+    if oracle_cap == 1:
+        est = estimate_q(config.load_graph(), config.q_samples, config.seed)
+        assert np.array_equal(seen["q_se"], est.se_q)
+    else:
+        assert seen.get("q_se") is None
 
 
 def test_broken_counting_identity_aborts(monkeypatch):

@@ -85,15 +85,6 @@ def test_matching_valid_and_maximum_on_corpus():
         assert len(m) == brute_force_mu(g.n, pairs)
 
 
-def test_matched_vertex_map_consistency():
-    g = petersen()
-    m = max_matching(g)
-    for e in m.edges:
-        u, v = g.endpoints(e)
-        assert m.matched_vertex[u] == v and m.matched_vertex[v] == u
-    assert len(m.matched_vertex) == 2 * len(m)
-
-
 def test_odd_cycles_need_blossoms():
     # 9-cycle plus chords exercising contraction.
     n = 9
@@ -270,11 +261,9 @@ def _reference_corpus():
 
 
 def _assert_equals_checked_construction(g, result):
-    # ``result.matched_vertex`` is built here, on first use, from the edges.
+    # The checked constructor refuses a vertex reuse in ``result.edges``.
     checked = Matching(g, result.edges)
     assert checked == result
-    assert checked.matched_vertex == result.matched_vertex
-    assert len(result.matched_vertex) == 2 * len(result)
 
 
 def test_blossom_results_equal_the_checked_constructor():

@@ -84,7 +84,6 @@ def test_hyperwalk_is_an_immutable_value():
     assert a == (a.steps, a.vertices) and hash(a) == hash((a.steps, a.vertices))
     assert {a, b, c} == {a, c} and b in {a}
     assert repr(a) == "Hyperwalk(steps=((0, 0), (1, 2), (3, 0)), vertices=(0, 1, 2, 3))"
-    assert (a.size, a.endpoints) == (3, (0, 3))
     with pytest.raises(AttributeError):
         a.steps = ((0, 0),)
     with pytest.raises(AttributeError):
@@ -238,7 +237,7 @@ def test_enumeration_matches_reference_enumerator():
         cap = trial % 3 + 1
         got = enumerate_augmenting_hyperwalks(prof, sat, cap)
         assert got == reference_augmenting_hyperwalks(prof, sat, cap)
-        assert all(w.size == 1 for w in got)
+        assert all(len(w.steps) == 1 for w in got)
         total += len(got)
     assert total > 100
 
@@ -253,7 +252,7 @@ def test_enumeration_matches_reference_enumerator():
         sat = frozenset(range(g.n)) - {free}
         got = enumerate_augmenting_hyperwalks(prof, sat, cap)
         assert got == reference_augmenting_hyperwalks(prof, sat, cap) == []
-        refused += sum(free in w.endpoints
+        refused += sum(free in (w.vertices[0], w.vertices[-1])
                        for w in enumerate_augmenting_hyperwalks(prof, frozenset(), cap))
     assert refused > 20
 
@@ -266,7 +265,7 @@ def test_enumeration_matches_reference_enumerator():
         sat = frozenset(v for v in range(g.n) if rng.random() < 0.15)
         got = enumerate_augmenting_hyperwalks(prof, sat, 3)
         assert got == reference_augmenting_hyperwalks(prof, sat, 3)
-        three_step += sum(w.size == 3 for w in got)
+        three_step += sum(len(w.steps) == 3 for w in got)
     assert three_step > 100
 
 
@@ -681,7 +680,7 @@ def test_enumeration_is_exactly_the_taut_subset():
                 w = canonical_walk(tuple(steps), tuple(verts))
                 key = (w.steps, w.vertices)
                 if key not in out:
-                    v0, vk = w.endpoints
+                    v0, vk = w.vertices[0], w.vertices[-1]
                     if (v0 not in saturated and vk not in saturated
                             and is_augmenting(profile, w)):
                         out[key] = w

@@ -109,6 +109,12 @@ MUTANTS = [
      "if not c_lambda > 0:", "if False:",
      ["tests/test_decomposition.py::test_classify_refuses_a_non_positive_c_lambda",
       C + "test_input_errors_exit_2_without_a_traceback[config_c_lambda_negative]"]),
+    ("config_c_lambda", "harness.py",
+     "check_c_lambda(self.c_lambda)", "pass",
+     ["tests/test_harness.py::test_config_refuses_a_non_positive_desk_c_lambda"]),
+    ("pipeline_f_band_q_se", "harness.py",
+     "            q_se=est.se_q if oracle is None else None,\n", "",
+     ["tests/test_harness.py::test_pipeline_f_band_counts_the_q_error_without_an_oracle"]),
     ("paper_mode_fixed_fields", "harness.py",
      'if self.mode == "paper" and fixed:', "if False:",
      ["tests/test_harness.py::test_config_validation",
