@@ -19,16 +19,22 @@ __all__ = [
 ]
 
 
-def _edge_prob(p, stream: RandomStream, index: int) -> float:
+def _edge_probs(p, stream: RandomStream):
+    """The probability of edge ``index`` as a function of the index: ``p``,
+    or a uniform draw from the range ``p`` at ``("p", index)``.  ``p`` is
+    checked here, before the caller draws anything, so a bad ``p`` raises
+    even when no edge is drawn."""
     if isinstance(p, (tuple, list)):
+        if len(p) != 2:
+            raise ValueError(f"a probability range has two numbers, got {p}")
         lo, hi = float(p[0]), float(p[1])
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"probability range must satisfy 0 < lo <= hi <= 1, got {p}")
-        return lo + (hi - lo) * stream.uniform_at(("p", index))
+        return lambda index: lo + (hi - lo) * stream.uniform_at(("p", index))
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise ValueError(f"probability must be in (0, 1], got {p}")
-    return p
+    return lambda index: p
 
 
 def erdos_renyi(n: int, edge_density: float, p, seed) -> StochasticGraph:
@@ -38,12 +44,13 @@ def erdos_renyi(n: int, edge_density: float, p, seed) -> StochasticGraph:
     if not (0.0 <= edge_density <= 1.0):
         raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
     stream = as_stream(seed, "gen-er")
+    edge_prob = _edge_probs(p, stream)
     edges = []
     idx = 0
     for u in range(n):
         for v in range(u + 1, n):
             if stream.uniform_at(("pair", u, v)) < edge_density:
-                edges.append((u, v, _edge_prob(p, stream, idx)))
+                edges.append((u, v, edge_prob(idx)))
             idx += 1
     return StochasticGraph(n, edges)
 
@@ -52,11 +59,12 @@ def clique(n: int, p) -> StochasticGraph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     stream = as_stream(0, "gen-clique")
+    edge_prob = _edge_probs(p, stream)
     edges = []
     idx = 0
     for u in range(n):
         for v in range(u + 1, n):
-            edges.append((u, v, _edge_prob(p, stream, idx)))
+            edges.append((u, v, edge_prob(idx)))
             idx += 1
     return StochasticGraph(n, edges)
 
@@ -65,29 +73,28 @@ def path(n: int, p) -> StochasticGraph:
     """Path on n vertices (n - 1 edges)."""
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
-    stream = as_stream(0, "gen-path")
-    return StochasticGraph(
-        n, [(i, i + 1, _edge_prob(p, stream, i)) for i in range(n - 1)]
-    )
+    edge_prob = _edge_probs(p, as_stream(0, "gen-path"))
+    return StochasticGraph(n, [(i, i + 1, edge_prob(i)) for i in range(n - 1)])
 
 
 def bipartite_random(n1: int, n2: int, density: float, p, seed) -> StochasticGraph:
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides need at least one vertex")
     stream = as_stream(seed, "gen-bip")
+    edge_prob = _edge_probs(p, stream)
     edges = []
     idx = 0
     for u in range(n1):
         for v in range(n2):
             if stream.uniform_at(("pair", u, v)) < density:
-                edges.append((u, n1 + v, _edge_prob(p, stream, idx)))
+                edges.append((u, n1 + v, edge_prob(idx)))
             idx += 1
     return StochasticGraph(n1 + n2, edges)
 
 
 def two_far_components(gadget: str = "edge", p=0.5) -> StochasticGraph:
     """Two disjoint copies of a small gadget, at infinite mutual distance."""
-    stream = as_stream(0, "gen-far")
+    edge_prob = _edge_probs(p, as_stream(0, "gen-far"))
     if gadget == "edge":
         base_edges = [(0, 1)]
         size = 2
@@ -104,7 +111,7 @@ def two_far_components(gadget: str = "edge", p=0.5) -> StochasticGraph:
     for copy in range(2):
         off = copy * size
         for u, v in base_edges:
-            edges.append((u + off, v + off, _edge_prob(p, stream, idx)))
+            edges.append((u + off, v + off, edge_prob(idx)))
             idx += 1
     return StochasticGraph(2 * size, edges)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .randomness import as_stream
+from .randomness import IntKeys, as_stream
 
 __all__ = [
     "MisResult",
@@ -78,11 +78,14 @@ def max_conflict_degree(members) -> int:
     return best - 1
 
 
-def luby_rounds(members, rounds: int, priority) -> MisResult:
-    """Run the round-synchronous rule with priorities from ``priority(round, node)``.
+def luby_rounds(members, rounds: int, priorities) -> MisResult:
+    """Run the round-synchronous rule with priorities from ``priorities(round, nodes)``.
 
     ``members`` is a sequence of member collections indexed by node; two
-    nodes are neighbours when they share a member.  Each round records the
+    nodes are neighbours when they share a member.  Each round asks once for
+    the priorities of all its undecided nodes, given as an ascending list,
+    and takes back a list of one priority per node in that order, so a
+    caller can draw a whole round in one batch.  Each round records the
     lowest priority at every member, the node holding it, and the second
     lowest; a node joins when it holds the lowest at each of its members and
     is strictly below the second lowest there.  That is exactly the rule
@@ -97,7 +100,9 @@ def luby_rounds(members, rounds: int, priority) -> MisResult:
             break
         rounds_used = r + 1
         order = sorted(undecided)
-        pri = [priority(r, v) for v in order]
+        pri = priorities(r, order)
+        if len(pri) != len(order):
+            raise ValueError(f"round {r}: {len(pri)} priorities for {len(order)} nodes")
         # member -> [lowest priority, its node, second-lowest priority or None]
         low: dict = {}
         for v, p in zip(order, pri):
@@ -138,8 +143,9 @@ def luby_rounds(members, rounds: int, priority) -> MisResult:
 def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
     """Independent set of expected size close to a maximal one.
 
-    Node priorities are independent keyed uniforms per (round, node), so the
-    outcome distribution is symmetric under any relabeling of the nodes.
+    Node priorities are independent keyed uniforms per (round, node), drawn
+    one round at a time, so the outcome distribution is symmetric under any
+    relabeling of the nodes.
     Each node's members are its incident edges, so ``adjacency`` must be
     symmetric and loop-free.
     """
@@ -156,10 +162,15 @@ def apx_mis(adjacency, epsilon: float, seed) -> MisResult:
         members.append([(u, v) if u < v else (v, u) for u in nbrs])
     max_deg = max((len(a) for a in adjacency), default=0)
     stream = as_stream(seed, "mis")
-    result = luby_rounds(
-        members, mis_round_budget(max_deg, epsilon),
-        lambda r, v: stream.uniform_at(("round", r, "node", v)),
-    )
+    ik = IntKeys()
+
+    def priorities(r, nodes):
+        # The draw of (round r, node v) is at ("round", r, "node", v); it
+        # concerns no vertices, so a perturbed stream resamples it.
+        return stream.child("round", r, "node").uniforms_at(
+            [ik[v] for v in nodes], [None] * len(nodes))
+
+    result = luby_rounds(members, mis_round_budget(max_deg, epsilon), priorities)
     _assert_independent(adjacency, result.in_set)
     return result
 

@@ -12,7 +12,8 @@ vertex) by re-keying just that subset.
 The one source of draws is ``RandomStream``, which holds the hash state of
 its address.  Bulk draws go through a Philox counter-based generator keyed
 by the address's 128-bit digest.  Single addressable values come straight
-from the digest, skipping generator construction.
+from the digest, skipping generator construction, and a batch of them from
+one loop over pre-encoded tails.
 
 The digest is a streaming blake2b over the encoded parts, so hashing a key's
 prefix once and appending each tail gives the same bytes as hashing every
@@ -81,7 +82,8 @@ class RandomStream:
     The stream holds the blake2b state of its address.  ``child(*parts)`` is
     the stream at ``key + parts``.  ``uniform_at(tail)`` is the one stateless
     value at ``key + tail`` and equals ``keyed_uniform(master_seed, key +
-    tail)``.  Parts and tails may come as ``encode_key`` bytes, so hot loops
+    tail)``; ``uniforms_at(tails, loci)`` draws a list of such values in one
+    call.  Parts and tails may come as ``encode_key`` bytes, so hot loops
     can encode them once.  ``uniforms(shape)`` draws arrays from a Philox
     generator keyed by the address digest, advancing the stream.  The first
     string in the key acts as the stream's purpose tag, which callers use to
@@ -144,6 +146,28 @@ class RandomStream:
         if pert is not None and (locus is None or not pert[0](locus)):
             h.update(pert[1])
         return _U64_LE.unpack_from(h.digest())[0] / _U64
+
+    def uniforms_at(self, tails, loci) -> list[float]:
+        """``[uniform_at(t, l) for t, l in zip(tails, loci)]`` in one loop,
+        for tails given as ``encode_key`` bytes.  Only a perturbed stream
+        reads ``loci``, which must then run in step with ``tails``."""
+        copy, unpack = self._h.copy, _U64_LE.unpack_from
+        out = []
+        append = out.append
+        if self._pert is None:
+            for tail in tails:
+                h = copy()
+                h.update(tail)
+                append(unpack(h.digest())[0] / _U64)
+            return out
+        keep, suffix = self._pert
+        for tail, locus in zip(tails, loci, strict=True):
+            h = copy()
+            h.update(tail)
+            if locus is None or not keep(locus):
+                h.update(suffix)
+            append(unpack(h.digest())[0] / _U64)
+        return out
 
 
 def as_stream(seed, purpose: str) -> RandomStream:

@@ -15,11 +15,14 @@ oracle).  Applying the chosen walks rebuilds only the slots they touch.
 
 Most nodes are at level 1, where every slot matching is empty, so each
 augmenting hyperwalk is one step (e, s): an edge realized in slot s with
-both endpoints unsaturated.  ``VimEngine._level_one`` selects among those
-steps directly, as sorted ``(u, e, s, v)`` tuples that carry the walks'
-vertices and priority keys, with no ``Profile``, enumerator, ``Hyperwalk``
-or ``apply_hyperwalks``; the generic node body, run at level 1 with empty
-matchings, is its test reference.  Above level 1 the enumerator tests the
+both endpoints unsaturated.  ``VimEngine._level_one`` builds those steps
+straight from the node's flat list of slot draws, with no slot sets,
+``Profile``, enumerator, ``Hyperwalk`` or ``apply_hyperwalks``: it takes the
+unsaturated crucial edges e = (u, v) ascending by (u, e) and, for each, the
+slots that realize it ascending, which is the enumerator's walk order, and
+reads each step's priority tail ``encode_key((u, e, s))`` from a per-engine
+cache.  The generic node body, run at level 1 with empty matchings on the
+same slots, is its test reference.  Above level 1 the enumerator tests the
 last step of a walk without pushing it (no cover-count updates, and the
 orientation rejects half the steps first), and collects walks as tuples,
 sorts them, and only then makes them ``Hyperwalk`` values.
@@ -39,10 +42,13 @@ randomness outside a ball and checking the vertex's output never changes.
 
 Each recursion node holds the stream of its path (a ``RandomStream``), and
 its children extend that stream by their ``("rec", level, slot)`` step.
-A slot draw hashes only its ``("real", level, slot, edge)`` tail, cached
-per prefix, and an MIS priority only its round and walk, whose key is joined
-from cached encodings of its integers; since the hash streams, every value
-equals the full-key ``keyed_uniform`` it replaces.  The saturation margin
+A node draws all alpha * m slot bits (m crucial edges) with one
+``uniforms_at`` call over the ``("real", level, slot, edge)`` tails and
+edge loci cached for its level, and each Luby round draws the priorities of
+all its undecided walks with one call over their tails, joined from cached
+encodings of their integers; since the hash streams and every draw is
+addressed, batching changes no value, and every value equals the full-key
+``keyed_uniform`` it replaces.  The saturation margin
 (``VimParams.gamma_ci_factor``), the round factor (``mis._ROUND_FACTOR``)
 and the per-node candidate cap (``_MAX_CANDIDATE_WALKS``) are constants.
 """
@@ -387,29 +393,37 @@ class VimEngine:
         g = classification.graph
         self._cedges = classification.crucial_edges
         self._cedge_set = frozenset(self._cedges)
-        self._cp = {e: float(g.ps[e]) for e in self._cedges}
+        self._cps = [float(g.ps[e]) for e in self._cedges]
         self._ends = {e: g.endpoints(e) for e in self._cedges}
+        self._loci = [self._ends[e] for e in self._cedges]
         self._keys = IntKeys()
-        self._tails: dict[tuple, list[bytes]] = {}
+        self._draws: dict = {}
+        self._l1_edges: list | None = None
 
     # -- randomness ---------------------------------------------------------
 
     def input_realization(self, key: tuple, rand=None) -> frozenset[int]:
         """Sample a fresh realization of the crucial graph, bit per edge."""
-        return self._draw_edges((rand or self.rand).child(*key), self._edge_tails("input"))
+        bits = (rand or self.rand).child(*key).uniforms_at(*self._edge_draws(None))
+        return self._realized(bits)
 
-    def _draw_edges(self, rand: RandomStream, tails: list[bytes]) -> frozenset[int]:
-        """Crucial edges whose draw at ``rand`` + tail falls under p_e."""
-        cp, ends = self._cp, self._ends
-        return frozenset(e for e, tail in zip(self._cedges, tails)
-                         if rand.uniform_at(tail, ends[e]) < cp[e])
+    def _realized(self, bits) -> frozenset[int]:
+        """Crucial edges whose draw, in ``bits`` by crucial-edge index, falls under p_e."""
+        return frozenset(e for e, x, p in zip(self._cedges, bits, self._cps) if x < p)
 
-    def _edge_tails(self, *prefix) -> list[bytes]:
-        """``encode_key(prefix + (e,))`` for each crucial edge e, cached by prefix."""
-        tails = self._tails.get(prefix)
-        if tails is None:
-            tails = self._tails[prefix] = [encode_key((*prefix, e)) for e in self._cedges]
-        return tails
+    def _edge_draws(self, level) -> tuple[list[bytes], list]:
+        """Tails and loci of one node's slot draws at ``level``: ``encode_key(
+        ("real", level, i, e))`` for slots i = 1..alpha, slot-major, then
+        crucial edges e; level None gives the input draws, ``("input", e)``.
+        Cached per level."""
+        draws = self._draws.get(level)
+        if draws is None:
+            prefixes = ([("input",)] if level is None
+                        else [("real", level, i) for i in range(1, self.params.alpha + 1)])
+            draws = self._draws[level] = (
+                [encode_key((*prefix, e)) for prefix in prefixes for e in self._cedges],
+                self._loci * len(prefixes))
+        return draws
 
     # -- gamma tables and saturation ----------------------------------------
 
@@ -469,40 +483,63 @@ class VimEngine:
         node's recursion path, to which every draw appends only its tail."""
         if r == 0:
             return frozenset()
-        alpha, ik = self.params.alpha, self._keys
-        slots = [creal]
-        for i in range(1, alpha + 1):
-            slots.append(self._draw_edges(rand, self._edge_tails("real", r, i)))
+        bits = rand.uniforms_at(*self._edge_draws(r))
         if r == 1:
-            return self._level_one(slots, rand, trace)
+            return self._level_one(creal, bits, rand, trace)
+        m, ik = len(self._cedges), self._keys
+        slots = [creal] + [self._realized(bits[k * m:(k + 1) * m])
+                           for k in range(self.params.alpha)]
         matchings = [self._find(r - 1, slots[i], rand.child(ik[("rec", r, i)]), trace)
-                     for i in range(alpha + 1)]
+                     for i in range(len(slots))]
         return self._node(r, slots, matchings, rand, trace)
 
-    def _level_one(self, slots: list, rand: RandomStream, trace):
-        """``_node(1, slots, [frozenset()] * len(slots), rand, trace)`` on
-        one-step walks (e, s) held as ``(u, e, s, v)``, ``u < v``: sorted,
-        they are in the enumerator's order, and ``(u, v)`` and
-        ``encode_key((u, e, s))`` are the walks' vertices and priority tails."""
-        saturated, ends, ik = self.saturated_set(1), self._ends, self._keys
-        cands = sorted((u, e, s, v) for s, real in enumerate(slots) for e in real
-                       for u, v in (ends[e],) if u not in saturated and v not in saturated)
-        members = [(u, v) for u, _, _, v in cands]
-        result = self._select(1, members, [ik[u] + ik[e] + ik[s] for u, e, s, _ in cands], rand)
-        chosen = [cands[i] for i in result.in_set]
+    def _level_one(self, creal: frozenset[int], bits: list, rand: RandomStream, trace):
+        """``_node(1, slots, [frozenset()] * len(slots), rand, trace)`` for
+        the slots ``creal`` and ``bits`` realize, on one-step walks (e, s)
+        with unsaturated ends (u, v), ``u < v``.  Taken by (u, e), then by s,
+        they come in the enumerator's order, and ``encode_key((u, e, s))`` is
+        a walk's priority tail."""
+        saturated, m = self.saturated_set(1), len(self._cedges)
+        members, tails, steps = [], [], []
+        for u, e, v, j, p, etails in self._level_one_edges():
+            if u in saturated or v in saturated:
+                continue
+            uv = (u, v)
+            if e in creal:
+                members.append(uv)
+                tails.append(etails[0])
+                steps.append((e, 0))
+            for s, x in enumerate(bits[j::m], 1):
+                if x < p:
+                    members.append(uv)
+                    tails.append(etails[s])
+                    steps.append((e, s))
+        result = self._select(1, members, tails, rand)
+        chosen = [steps[i] for i in result.in_set]
         # Disjoint steps keep each slot a matching, so the covers sum to 2 * selected.
         if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):
             raise AssertionError("level-1 steps chosen by the independent set share a vertex")
         if trace is not None:
-            sizes = [0] * len(slots)
-            for _, _, s, _ in chosen:
+            sizes = [0] * (self.params.alpha + 1)
+            for _, s in chosen:
                 sizes[s] += 1
-            trace.append(LevelTrace(1, 0, 2 * len(chosen), len(chosen), len(cands),
+            trace.append(LevelTrace(1, 0, 2 * len(chosen), len(chosen), len(steps),
                                     result.rounds, len(result.undecided), tuple(sizes)))
-        z = frozenset(e for _, e, s, _ in chosen if s == 0)
-        if not z <= slots[0]:
+        z = frozenset(e for e, s in chosen if s == 0)
+        if not z <= creal:
             raise AssertionError("returned matching left the input realization")
         return z
+
+    def _level_one_edges(self) -> list[tuple]:
+        """``(u, e, v, j, p_e, tails)`` per crucial edge e = (u, v) at index
+        j, ascending by (u, e), where ``tails[s]`` is ``encode_key((u, e, s))``
+        for slots s = 0..alpha.  Built on first use."""
+        if self._l1_edges is None:
+            ik, slots = self._keys, range(self.params.alpha + 1)
+            self._l1_edges = sorted(
+                (u, e, v, j, p, [ik[u] + ik[e] + ik[s] for s in slots])
+                for j, (e, (u, v), p) in enumerate(zip(self._cedges, self._loci, self._cps)))
+        return self._l1_edges
 
     def _node(self, r: int, slots: list, matchings: list, rand: RandomStream, trace):
         """One recursion node over its realized ``slots`` and their level-(r-1)
@@ -561,15 +598,15 @@ class VimEngine:
         budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon)
         self.max_mis_rounds = max(self.max_mis_rounds, budget)
         ik = self._keys
-        round_states: dict[int, RandomStream] = {}
 
-        def priority(rnd: int, node: int) -> float:
-            state = round_states.get(rnd)
-            if state is None:
-                state = round_states[rnd] = rand.child(ik[("mis", r, rnd)])
-            return state.uniform_at(tails[node], members[node])
+        def priorities(rnd: int, nodes: list) -> list:
+            state = rand.child(ik[("mis", r, rnd)])
+            if len(nodes) == len(tails):  # every node, as in the first round
+                return state.uniforms_at(tails, members)
+            return state.uniforms_at(map(tails.__getitem__, nodes),
+                                     map(members.__getitem__, nodes))
 
-        return luby_rounds(members, budget, priority)
+        return luby_rounds(members, budget, priorities)
 
     # -- locality ------------------------------------------------------------
 

@@ -47,6 +47,18 @@ def test_generator_ranges_and_bipartite():
         assert (u < 4) <= (v >= 4)
 
 
+def test_generators_check_p_before_any_edge_is_drawn():
+    # Density 0 draws no edge, so p is checked before the first draw or never.
+    for bad in (2.0, 0.0, (0.9, 0.1), (0.0, 0.5), (0.2, 0.3, 0.4)):
+        with pytest.raises(ValueError, match="probability"):
+            erdos_renyi(5, 0.0, bad, 0)
+        with pytest.raises(ValueError, match="probability"):
+            bipartite_random(2, 3, 0.0, bad, 0)
+        with pytest.raises(ValueError, match="probability"):
+            clique(1, bad)
+    assert erdos_renyi(5, 0.0, 0.5, 0).m == 0 and clique(1, (0.1, 0.9)).m == 0
+
+
 def test_two_far_components_shape():
     g = two_far_components("edge", 0.5)
     assert g.n == 4 and g.m == 2

@@ -130,7 +130,8 @@ def test_luby_rounds_equals_the_neighbour_rule(members, levels, rounds, seed):
         return int(table[r, v])
 
     adj = _shared_member_adjacency(members)
-    assert luby_rounds(members, rounds, priority) == reference_luby_rounds(adj, rounds, priority)
+    batched = luby_rounds(members, rounds, lambda r, vs: [priority(r, v) for v in vs])
+    assert batched == reference_luby_rounds(adj, rounds, priority)
     assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
 
 
@@ -148,7 +149,7 @@ def test_luby_rounds_tie_at_a_shared_member_blocks_both():
     # Nodes 0 and 1 tie at member "a"; node 2 is alone.  Neither tied node
     # may join, however often the round repeats.
     members = [("a",), ("a", "b"), ("c",)]
-    res = luby_rounds(members, 2, lambda r, v: 0.0 if v < 2 else 0.5)
+    res = luby_rounds(members, 2, lambda r, vs: [0.0 if v < 2 else 0.5 for v in vs])
     assert res == reference_luby_rounds(_shared_member_adjacency(members), 2,
                                         lambda r, v: 0.0 if v < 2 else 0.5)
     assert res.in_set == (2,) and res.undecided == (0, 1) and res.rounds == 2
@@ -156,7 +157,7 @@ def test_luby_rounds_tie_at_a_shared_member_blocks_both():
 
 def test_luby_rounds_repeated_member_is_one_member():
     # A node listing a member twice still joins as the strict minimum there.
-    res = luby_rounds([(1, 1, 2), (2, 3)], 1, lambda r, v: [0.1, 0.2][v])
+    res = luby_rounds([(1, 1, 2), (2, 3)], 1, lambda r, vs: [[0.1, 0.2][v] for v in vs])
     assert res.in_set == (0,) and res.undecided == ()
 
 
@@ -192,3 +193,8 @@ def test_apx_mis_results_pinned():
             h.update(repr((res.in_set, res.undecided, res.rounds)).encode())
             h.update(b"\n")
         assert h.hexdigest() == digest, name
+
+
+def test_luby_rounds_refuses_a_priority_list_of_the_wrong_length():
+    with pytest.raises(ValueError, match="round 0: 1 priorities for 2 nodes"):
+        luby_rounds([(0,), (1,)], 1, lambda r, vs: [0.5])

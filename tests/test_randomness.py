@@ -148,3 +148,19 @@ def test_row_draw_is_a_prefix_of_the_full_block(k, m):
 
     full = block().uniforms((8192, m))[:k]
     assert np.array_equal(block().uniforms((k, m)), full)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
+def test_uniforms_at_equals_one_draw_at_a_time(perturbed):
+    # Loci that are None, kept (inside {0, 1, 2}) and dropped, under one
+    # prefix; a perturbed stream resamples the None and dropped draws only.
+    base = RandomStream(11, ("vim",)).child("node", 3)
+    stream = base.perturbed(5, keep=lambda locus: set(locus) <= {0, 1, 2}) if perturbed else base
+    tails = [encode_key(("real", 1, i, e)) for i in range(3) for e in range(4)]
+    loci = [None, (0, 1), (2, 7), (1, 2)] * 3
+    batch = stream.uniforms_at(tails, loci)
+    assert batch == [stream.uniform_at(t, locus) for t, locus in zip(tails, loci)]
+    plain = base.uniforms_at(tails, loci)
+    assert [x == y for x, y in zip(batch, plain)] == [
+        not perturbed or locus in ((0, 1), (1, 2)) for locus in loci]
+    assert stream.uniforms_at([], []) == []

@@ -579,10 +579,12 @@ def test_conflict_cap_guard(monkeypatch):
 
 
 def test_level_one_equals_the_generic_node(monkeypatch):
-    # The level-1 routine against the generic node body at r = 1 with empty
-    # matchings: the same matching, trace, round budgets and conflict degrees
-    # over random classifications, saturated sets, slots and perturbed
-    # streams, and the same CandidateWalkCapError under a small cap.
+    # A level-1 node, whose kernel reads its slots straight from one batch of
+    # draws, against the generic node body at r = 1 with empty matchings on
+    # slots drawn one edge at a time: the same matching, trace, round budgets
+    # and conflict degrees over random classifications (one of them without
+    # crucial edges), saturated sets, inputs and perturbed streams, and the
+    # same CandidateWalkCapError under a small cap.
     degrees = []
     budget = vim.mis_round_budget
 
@@ -592,7 +594,7 @@ def test_level_one_equals_the_generic_node(monkeypatch):
 
     monkeypatch.setattr(vim, "mis_round_budget", recording)
     rng = np.random.default_rng(7)
-    seen = {"selected": 0, "capped": 0}
+    seen = {"selected": 0, "capped": 0, "empty": 0}
 
     def outcome(engine, node):
         engine.max_mis_rounds = 0
@@ -606,24 +608,32 @@ def test_level_one_equals_the_generic_node(monkeypatch):
         seen["selected"] += len(z)
         return z, trace, engine.max_mis_rounds, list(degrees)
 
+    def reference(engine, creal, rand, trace):
+        g, alpha = engine.cls.graph, engine.params.alpha
+        slots = [creal] + [
+            frozenset(e for e in engine.cls.crucial_edges
+                      if rand.uniform_at(("real", 1, i, e), g.endpoints(e)) < g.ps[e])
+            for i in range(1, alpha + 1)]
+        return engine._node(1, slots, [frozenset()] * len(slots), rand, trace)
+
     for i, g in enumerate(small_corpus(count=12, seed=14, max_edges=8)):
-        for cls in (all_crucial(g), classification_for(g)):
+        none_crucial = classify(g, np.zeros(g.m), 0.05, 0.5, 0.3)
+        for cls in (all_crucial(g), classification_for(g), none_crucial):
             for alpha in (0, 1, 3, 11):
                 engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=alpha, depth=1,
                                                   gamma_samples=10), seed=i)
                 engine._saturated[1] = frozenset(np.flatnonzero(rng.random(g.n) < 0.3).tolist())
-                slots = [frozenset(e for e in cls.crucial_edges if rng.random() < 0.6)
-                         for _ in range(alpha + 1)]
+                creal = frozenset(e for e in cls.crucial_edges if rng.random() < 0.6)
                 region = set(np.flatnonzero(rng.random(g.n) < 0.5).tolist())
                 base = RandomStream(i, ("level1",))
                 for rand in (base, base.perturbed(alpha, region.issuperset)):
                     for cap in (100_000, 3):
                         monkeypatch.setattr(vim, "_MAX_CANDIDATE_WALKS", cap)
-                        fast = outcome(engine, lambda t: engine._level_one(slots, rand, t))
-                        generic = outcome(engine, lambda t: engine._node(
-                            1, slots, [frozenset()] * len(slots), rand, t))
+                        fast = outcome(engine, lambda t: engine._find(1, creal, rand, t))
+                        generic = outcome(engine, lambda t: reference(engine, creal, rand, t))
                         assert fast == generic
-    assert seen["selected"] > 0 and seen["capped"] > 0
+                        seen["empty"] += not cls.crucial_edges
+    assert seen["selected"] > 0 and seen["capped"] > 0 and seen["empty"] > 0
 
 
 def test_level_one_refuses_steps_that_share_a_vertex(monkeypatch):

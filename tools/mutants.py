@@ -53,6 +53,9 @@ MUTANTS = [
      "encode_key(x if type(x) is tuple else (x,))", "encode_key((x,))",
      [V + "test_outputs_pinned_against_randomness_format_drift",
       "tests/test_randomness.py::test_int_keys_join_to_the_full_key"]),
+    ("uniforms_at_perturbation", "randomness.py",
+     "h.update(suffix)", "pass",
+     ["tests/test_randomness.py::test_uniforms_at_equals_one_draw_at_a_time"]),
     ("edge_tail_prefix", "vim.py",
      "encode_key((*prefix, e))", "encode_key((e,))",
      [V + "test_outputs_pinned_against_randomness_format_drift"]),
