@@ -22,6 +22,7 @@ from .decomposition import EdgeClassification
 from .errors import DivisionGuardError, SubsetCapError
 from .graph import Realization, StochasticGraph
 from .sparsifier import SubgraphQ
+from .stats import check_epsilon
 
 __all__ = [
     "FractionalAssignment",
@@ -47,8 +48,7 @@ _SUBSET_CAP = 500_000
 def compute_f(q: SubgraphQ, classification: EdgeClassification, epsilon: float) -> np.ndarray:
     """Per-edge f: t_e / R on non-crucial edges whose ratio is positive and at
     most the 1/sqrt(eps R) cap, and 0 on every other edge."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     cap = 1.0 / math.sqrt(epsilon * q.R)
     f = np.zeros(q.parent.m)
     edges = np.asarray(classification.noncrucial_edges, dtype=np.int64)

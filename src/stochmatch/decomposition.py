@@ -20,7 +20,7 @@ from .errors import ParameterOverflowError
 from .graph import Realization, StochasticGraph
 from .matching import matched_by_mask, max_matching
 from .randomness import as_stream
-from .stats import binomial_se
+from .stats import binomial_se, check_epsilon
 
 __all__ = [
     "QEstimate",
@@ -190,8 +190,7 @@ def threshold_schedule(
     whose bucket mass is at most epsilon * opt.  Because the buckets are
     disjoint sub-masses of opt, j <= ceil(1/epsilon) + 1 always.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     q = np.asarray(q, dtype=float)
     bound = math.ceil(1.0 / epsilon) + 1
     it = _level_iter(epsilon, p_min, f_shape, t0, gamma, levels)

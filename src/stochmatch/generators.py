@@ -1,13 +1,29 @@
 """Deterministic graph family generators for experiments.
 
-Probabilities may be a single float or a (low, high) pair for per-edge
-uniform draws.  Everything is a pure function of (params, seed).
+Each family lists its candidate pairs; ``_sample_graph`` keeps them in order.
+With a density, candidate ``(u, v)`` is kept when the uniform at ``("pair",
+u, v)`` is below it.  A kept candidate's probability is ``p``, or for a range
+``(lo, hi)`` it is ``lo + (hi - lo) * x`` with ``x`` the uniform at ``("p",
+i)``, where ``i`` counts every candidate.  Candidates and streams per family:
+
+- ``erdos_renyi``: ``(u, v)``, ``u < v``, lexicographic; ``"gen-er"``.
+- ``bipartite_random``: ``(u, n1 + v)``, ``u < n1``, ``v < n2``, lexicographic,
+  drawn at ``("pair", u, v)``; ``"gen-bip"``.
+- ``clique``: ``(u, v)``, ``u < v``; ``"gen-clique"`` seeded 0.
+- ``path``: ``(i, i + 1)``; ``"gen-path"`` seeded 0.
+- ``two_far_components``: the gadget's edges, then the same shifted by its
+  size; ``"gen-far"`` seeded 0.
+
+All are pure functions of (params, seed); a stream given as the seed is used
+as it is.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 from .graph import StochasticGraph
-from .randomness import RandomStream, as_stream
+from .randomness import IntKeys, as_stream
 
 __all__ = [
     "erdos_renyi",
@@ -19,101 +35,81 @@ __all__ = [
 ]
 
 
-def _edge_probs(p, stream: RandomStream):
-    """The probability of edge ``index`` as a function of the index: ``p``,
-    or a uniform draw from the range ``p`` at ``("p", index)``.  ``p`` is
-    checked here, before the caller draws anything, so a bad ``p`` raises
-    even when no edge is drawn."""
-    if isinstance(p, (tuple, list)):
+def _sample_graph(n, pairs, p, stream, density=None, keys=None) -> StochasticGraph:
+    """The graph on ``n`` vertices with the kept ``pairs`` as edges, as the
+    module docstring says; ``density`` is ``(name, value)`` and ``keys`` the
+    pair-draw keys.  The density and ``p`` are checked before any draw, so a
+    bad value raises even when no edge is drawn."""
+    if density is not None and not (0.0 <= density[1] <= 1.0):
+        raise ValueError(f"{density[0]} must be in [0, 1], got {density[1]}")
+    ranged = isinstance(p, (tuple, list))
+    if ranged:
         if len(p) != 2:
             raise ValueError(f"a probability range has two numbers, got {p}")
         lo, hi = float(p[0]), float(p[1])
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"probability range must satisfy 0 < lo <= hi <= 1, got {p}")
-        return lambda index: lo + (hi - lo) * stream.uniform_at(("p", index))
-    p = float(p)
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"probability must be in (0, 1], got {p}")
-    return lambda index: p
+    else:
+        p = float(p)
+        if not (0.0 < p <= 1.0):
+            raise ValueError(f"probability must be in (0, 1], got {p}")
+    ik = IntKeys()
+    kept = range(len(pairs))
+    if density is not None:
+        # A generator of tails: ER(300) would hold 45k of them at once.
+        bits = stream.child("pair").uniforms_at((ik[u] + ik[v] for u, v in keys),
+                                                [None] * len(keys))
+        kept = [i for i, bit in enumerate(bits) if bit < density[1]]
+    if ranged:
+        draws = stream.child("p").uniforms_at([ik[i] for i in kept], [None] * len(kept))
+        probs = [lo + (hi - lo) * x for x in draws]
+    else:
+        probs = [p] * len(kept)
+    return StochasticGraph(n, [(*pairs[i], q) for i, q in zip(kept, probs)])
 
 
 def erdos_renyi(n: int, edge_density: float, p, seed) -> StochasticGraph:
     """Each vertex pair becomes an edge independently with ``edge_density``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if not (0.0 <= edge_density <= 1.0):
-        raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
-    stream = as_stream(seed, "gen-er")
-    edge_prob = _edge_probs(p, stream)
-    edges = []
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if stream.uniform_at(("pair", u, v)) < edge_density:
-                edges.append((u, v, edge_prob(idx)))
-            idx += 1
-    return StochasticGraph(n, edges)
+    pairs = list(combinations(range(n), 2))
+    return _sample_graph(n, pairs, p, as_stream(seed, "gen-er"),
+                         ("edge_density", edge_density), pairs)
 
 
 def clique(n: int, p) -> StochasticGraph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    stream = as_stream(0, "gen-clique")
-    edge_prob = _edge_probs(p, stream)
-    edges = []
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.append((u, v, edge_prob(idx)))
-            idx += 1
-    return StochasticGraph(n, edges)
+    return _sample_graph(n, list(combinations(range(n), 2)), p, as_stream(0, "gen-clique"))
 
 
 def path(n: int, p) -> StochasticGraph:
     """Path on n vertices (n - 1 edges)."""
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
-    edge_prob = _edge_probs(p, as_stream(0, "gen-path"))
-    return StochasticGraph(n, [(i, i + 1, edge_prob(i)) for i in range(n - 1)])
+    return _sample_graph(n, [(i, i + 1) for i in range(n - 1)], p, as_stream(0, "gen-path"))
 
 
 def bipartite_random(n1: int, n2: int, density: float, p, seed) -> StochasticGraph:
+    """Each left-right pair becomes an edge independently with ``density``."""
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides need at least one vertex")
-    stream = as_stream(seed, "gen-bip")
-    edge_prob = _edge_probs(p, stream)
-    edges = []
-    idx = 0
-    for u in range(n1):
-        for v in range(n2):
-            if stream.uniform_at(("pair", u, v)) < density:
-                edges.append((u, n1 + v, edge_prob(idx)))
-            idx += 1
-    return StochasticGraph(n1 + n2, edges)
+    keys = list(product(range(n1), range(n2)))
+    return _sample_graph(n1 + n2, [(u, n1 + v) for u, v in keys], p,
+                         as_stream(seed, "gen-bip"), ("density", density), keys)
+
+
+_GADGETS = {"edge": (2, [(0, 1)]), "path3": (3, [(0, 1), (1, 2)]),
+            "triangle": (3, [(0, 1), (1, 2), (0, 2)])}
 
 
 def two_far_components(gadget: str = "edge", p=0.5) -> StochasticGraph:
     """Two disjoint copies of a small gadget, at infinite mutual distance."""
-    edge_prob = _edge_probs(p, as_stream(0, "gen-far"))
-    if gadget == "edge":
-        base_edges = [(0, 1)]
-        size = 2
-    elif gadget == "path3":
-        base_edges = [(0, 1), (1, 2)]
-        size = 3
-    elif gadget == "triangle":
-        base_edges = [(0, 1), (1, 2), (0, 2)]
-        size = 3
-    else:
+    if gadget not in _GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}")
-    edges = []
-    idx = 0
-    for copy in range(2):
-        off = copy * size
-        for u, v in base_edges:
-            edges.append((u + off, v + off, edge_prob(idx)))
-            idx += 1
-    return StochasticGraph(2 * size, edges)
+    size, base = _GADGETS[gadget]
+    pairs = [(u + off, v + off) for off in (0, size) for u, v in base]
+    return _sample_graph(2 * size, pairs, p, as_stream(0, "gen-far"))
 
 
 def _prob(p):

@@ -36,7 +36,7 @@ from .matching import mu
 from .oracle import exact_stats
 from .randomness import RandomStream
 from .sparsifier import build_baseline_iterative, build_q, default_R, realize_and_match_q
-from .stats import binomial_se, covariance_se, mean_se, ratio_se
+from .stats import binomial_se, check_epsilon, covariance_se, mean_se, ratio_se
 from .vim import VimEngine, VimParams
 
 __all__ = [
@@ -299,6 +299,9 @@ def run_f_property_batch(g: StochasticGraph, classification, R: int, runs: int,
 class ExperimentConfig:
     """Everything a pipeline run depends on; serializable for reproducibility."""
 
+    # The fields that, when set, override a desk-mode VimParams default.
+    _VIM_OVERRIDES = ("alpha", "depth", "walk_cap")
+
     graph_family: str | None = None
     graph_params: dict = field(default_factory=dict)
     graph_file: str | None = None
@@ -324,8 +327,7 @@ class ExperimentConfig:
     default_r_cap: int = 4096
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        check_epsilon(self.epsilon)
         for name, least in (("q_samples", 1), ("vim_runs", 1), ("cert_runs", 1),
                             ("gamma_samples", 1), ("ratio_outer", _RATIO_LEAST["outer"]),
                             ("ratio_inner", _RATIO_LEAST["inner"]),
@@ -336,7 +338,7 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'desk' or 'paper', got {self.mode!r}")
         if self.mode == "desk":
             check_c_lambda(self.c_lambda)
-        fixed = [k for k in ("alpha", "depth", "walk_cap") if getattr(self, k) is not None]
+        fixed = [k for k in self._VIM_OVERRIDES if getattr(self, k) is not None]
         if self.mode == "paper" and fixed:
             raise ValueError(f"paper mode takes alpha, depth and walk_cap from epsilon; "
                              f"unset {fixed}")
@@ -376,15 +378,9 @@ class ExperimentConfig:
                 force=self.force_paper,
                 gamma_samples=self.gamma_samples,
             )
-        overrides = {}
-        if self.alpha is not None:
-            overrides["alpha"] = self.alpha
-        if self.depth is not None:
-            overrides["depth"] = self.depth
-        if self.walk_cap is not None:
-            overrides["walk_cap"] = self.walk_cap
         return VimParams(epsilon=self.epsilon, gamma_samples=self.gamma_samples,
-                         **overrides)
+                         **{k: getattr(self, k) for k in self._VIM_OVERRIDES
+                            if getattr(self, k) is not None})
 
     def sparsifier_R(self, tau_minus: float) -> int:
         """The sparsifier width: ``R``, else ``default_R(tau_minus)`` under ``default_r_cap``."""

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .randomness import IntKeys, as_stream
+from .stats import check_epsilon
 
 __all__ = [
     "MisResult",
@@ -43,8 +44,7 @@ class MisResult:
 def mis_round_budget(max_degree: int, epsilon: float) -> int:
     """Round count c * log2((delta + 2) / delta_fail), delta_fail = eps / (10 (delta+1)),
     with c = ``_ROUND_FACTOR``."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     delta_fail = epsilon / (10.0 * (max_degree + 1))
     return max(1, math.ceil(_ROUND_FACTOR * math.log2((max_degree + 2) / delta_fail)))
 

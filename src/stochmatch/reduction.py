@@ -17,6 +17,7 @@ import numpy as np
 from .graph import StochasticGraph
 from .randomness import as_stream
 from .sparsifier import SubgraphQ
+from .stats import check_epsilon
 
 __all__ = ["Contraction", "contract", "lift", "lift_cap"]
 
@@ -34,8 +35,7 @@ def contract(g: StochasticGraph, epsilon: float, opt_estimate: float, seed) -> C
     """Uniform independent bucket contraction with merged probabilities."""
     if opt_estimate <= 0:
         raise ValueError(f"opt_estimate must be positive, got {opt_estimate}")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     k = math.ceil(8.0 * opt_estimate / epsilon)
     stream = as_stream(seed, "contract")
     u = stream.uniforms(g.n)

@@ -1,4 +1,4 @@
-"""Small statistics helpers shared by the harness and the tests."""
+"""Small statistics helpers, and the epsilon rule, shared across the package."""
 
 from __future__ import annotations
 
@@ -7,11 +7,18 @@ import math
 import numpy as np
 
 __all__ = [
+    "check_epsilon",
     "mean_se",
     "binomial_se",
     "ratio_se",
     "covariance_se",
 ]
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an accuracy parameter outside the open interval (0, 1)."""
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def mean_se(values) -> tuple[float, float]:

@@ -66,7 +66,7 @@ from .decomposition import EdgeClassification
 from .errors import CandidateWalkCapError, ParameterOverflowError
 from .mis import luby_rounds, max_conflict_degree, mis_round_budget
 from .randomness import IntKeys, RandomStream, encode_key
-from .stats import binomial_se
+from .stats import binomial_se, check_epsilon
 
 __all__ = [
     "VimParams",
@@ -107,8 +107,7 @@ class VimParams:
     gamma_ci_factor = 3.0
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.alpha < 0 or self.depth < 0 or self.walk_cap < 1 or self.gamma_samples < 1:
             raise ValueError("alpha, depth >= 0; walk_cap, gamma_samples >= 1")
 
@@ -614,6 +613,8 @@ class VimEngine:
         """Smallest rho such that resampling all randomness whose locus leaves
         the rho-ball around v (in the crucial graph) never changes whether v
         is matched, over ``trials`` perturbations per radius."""
+        if not 0 <= v < self.cls.graph.n:
+            raise ValueError(f"vertex {v} is not in range({self.cls.graph.n})")
         if depth < 0:
             raise ValueError(f"depth must be at least 0, got {depth}")
         if trials < 1:

@@ -13,7 +13,7 @@ import numpy as np
 
 from stochmatch.graph import Matching, Realization, StochasticGraph
 from stochmatch.mis import MisResult
-from stochmatch.randomness import RandomStream
+from stochmatch.randomness import RandomStream, as_stream
 from stochmatch.vim import Hyperwalk
 
 
@@ -416,3 +416,43 @@ def reference_exact_stats(g: StochasticGraph):
         matched_prob[u] += total[e]
         matched_prob[v] += total[e]
     return float(opt), total, matched_prob
+
+
+_REFERENCE_GADGETS = {"edge": (2, [(0, 1)]), "path3": (3, [(0, 1), (1, 2)]),
+                      "triangle": (3, [(0, 1), (1, 2), (0, 2)])}
+
+
+def reference_family_graph(family: str, params: dict, seed=0) -> StochasticGraph:
+    """A generator family's graph drawn pair by pair, as each family's own
+    loop drew it before the families shared one batched routine: one scalar
+    ``uniform_at(("pair", u, v))`` per candidate where the family has a
+    density, and one ``uniform_at(("p", i))`` per kept candidate i for a range
+    ``p``.  ``seed`` may be a stream, used as it is.  Valid parameters only."""
+    n, p = params.get("n"), params.get("p", 0.5)
+    if family == "erdos_renyi":
+        stream, density = as_stream(seed, "gen-er"), params["edge_density"]
+        cands = [((u, v), (u, v)) for u in range(n) for v in range(u + 1, n)]
+    elif family == "bipartite_random":
+        n1, n2 = params["n1"], params["n2"]
+        n, stream, density = n1 + n2, as_stream(seed, "gen-bip"), params["density"]
+        cands = [((u, n1 + v), (u, v)) for u in range(n1) for v in range(n2)]
+    elif family == "clique":
+        stream, density = RandomStream(0, ("gen-clique",)), None
+        cands = [((u, v), None) for u in range(n) for v in range(u + 1, n)]
+    elif family == "path":
+        stream, density = RandomStream(0, ("gen-path",)), None
+        cands = [((i, i + 1), None) for i in range(n - 1)]
+    else:
+        size, base = _REFERENCE_GADGETS[params.get("gadget", "edge")]
+        n, stream, density = 2 * size, RandomStream(0, ("gen-far",)), None
+        cands = [((u + off, v + off), None) for off in (0, size) for u, v in base]
+    edges = []
+    for idx, ((u, v), key) in enumerate(cands):
+        if density is not None and not stream.uniform_at(("pair", *key)) < density:
+            continue
+        if isinstance(p, (tuple, list)):
+            lo, hi = float(p[0]), float(p[1])
+            edges.append((u, v, lo + (hi - lo) * stream.uniform_at(("p", idx))))
+        else:
+            edges.append((u, v, float(p)))
+    return StochasticGraph(n, edges)

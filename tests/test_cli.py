@@ -245,6 +245,8 @@ def test_guard_errors_exit_2(capsys, tmp_path):
      "family 'erdos_renyi': parameter 'edge_density' must be a number, got True"),
     (["gen", "--family", "erdos_renyi", "--params", '{"n": 5, "edge_density": 0.0, "p": 2.0}'],
      "probability must be in (0, 1], got 2.0"),
+    (["gen", "--family", "bipartite_random", "--params",
+      '{"n1": 2, "n2": 3, "density": 7, "p": 0.5}'], "density must be in [0, 1], got 7.0"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
         "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",
@@ -252,7 +254,7 @@ def test_guard_errors_exit_2(capsys, tmp_path):
         "config_with_input_flags", "gen_without_a_graph", "config_epsilon_a_string",
         "config_q_samples_a_float", "config_seed_a_bool", "config_ratio_outer_one",
         "config_c_lambda_negative", "paper_mode_with_alpha", "n_fractional", "n_infinite",
-        "density_bool", "p_out_of_range_without_edges"])
+        "density_bool", "p_out_of_range_without_edges", "bipartite_density_above_one"])
 def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message):
     (tmp_path / "unknown_key.json").write_text('{"graph_family": "path", "nosuch": 1}')
     (tmp_path / "list.json").write_text('[1, 2]')

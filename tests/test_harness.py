@@ -1,9 +1,12 @@
 """Generators, ratio estimation, concentration, independence, pipeline."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmatch.decomposition import classify, estimate_q
 from stochmatch.generators import (
@@ -24,8 +27,11 @@ from stochmatch.harness import (
     run_pipeline,
 )
 from stochmatch.oracle import exact_stats
+from stochmatch.randomness import RandomStream
 from stochmatch import harness, vim
 from stochmatch.vim import VimEngine, VimParams
+
+from helpers import reference_family_graph
 
 
 def test_generator_examples():
@@ -57,6 +63,74 @@ def test_generators_check_p_before_any_edge_is_drawn():
         with pytest.raises(ValueError, match="probability"):
             clique(1, bad)
     assert erdos_renyi(5, 0.0, 0.5, 0).m == 0 and clique(1, (0.1, 0.9)).m == 0
+
+
+@pytest.mark.parametrize("density", [1.5, -1.0, math.nan])
+def test_densities_outside_zero_one_are_refused(density):
+    with pytest.raises(ValueError, match=f"^density must be in \\[0, 1\\], got {density}$"):
+        bipartite_random(2, 3, density, 0.5, 0)
+    with pytest.raises(ValueError, match=f"^edge_density must be in \\[0, 1\\], got {density}$"):
+        erdos_renyi(3, density, 0.5, 0)
+    with pytest.raises(ValueError, match="^density must be in"):
+        generate("bipartite_random", {"n1": 2, "n2": 3, "density": density, "p": 0.5})
+
+
+_UNIT = st.floats(min_value=1e-6, max_value=1.0)
+# A probability in (0, 1], or a range with 0 < lo <= hi <= 1 as a tuple or a list.
+_PROBABILITY = st.one_of(_UNIT, st.tuples(_UNIT, _UNIT).map(sorted),
+                         st.tuples(_UNIT, _UNIT).map(sorted).map(tuple))
+_DENSITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _family_case(draw):
+    """(family, params, seed, graph) over all five families; ER and bipartite
+    seeds are sometimes perturbed streams, which resample every draw."""
+    family = draw(st.sampled_from(["erdos_renyi", "bipartite_random", "clique", "path",
+                                   "two_far_components"]))
+    p = draw(_PROBABILITY)
+    seed = draw(st.integers(0, 10**6))
+    if family in ("erdos_renyi", "bipartite_random") and draw(st.booleans()):
+        purpose = "gen-er" if family == "erdos_renyi" else "gen-bip"
+        seed = RandomStream(seed, (purpose,)).perturbed(draw(st.integers(0, 5)),
+                                                         lambda locus: True)
+    if family == "erdos_renyi":
+        params = {"n": draw(st.integers(1, 30)), "edge_density": draw(_DENSITY)}
+        g = erdos_renyi(params["n"], params["edge_density"], p, seed)
+    elif family == "bipartite_random":
+        params = {"n1": draw(st.integers(1, 8)), "n2": draw(st.integers(1, 8)),
+                  "density": draw(_DENSITY)}
+        g = bipartite_random(params["n1"], params["n2"], params["density"], p, seed)
+    elif family == "clique":
+        params = {"n": draw(st.integers(1, 12))}
+        g = clique(params["n"], p)
+    elif family == "path":
+        params = {"n": draw(st.integers(2, 20))}
+        g = path(params["n"], p)
+    else:
+        params = {"gadget": draw(st.sampled_from(["edge", "path3", "triangle"]))}
+        g = two_far_components(params["gadget"], p)
+    return family, dict(params, p=p), seed, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_case())
+def test_generators_equal_the_per_pair_reference(case):
+    family, params, seed, g = case
+    ref = reference_family_graph(family, params, seed)
+    assert (g.n, g.edges) == (ref.n, ref.edges)
+
+
+def test_generated_edges_pinned():
+    # Digests of the edge tuples, taken before the families shared one
+    # batched sampling routine; both graphs draw a range p.
+    def digest(g):
+        return hashlib.sha256(repr(g.edges).encode()).hexdigest()
+
+    assert digest(erdos_renyi(300, 0.03, (0.2, 0.8), 7)) == (
+        "041fb35880f8d9becf303cda5154648e20a3203bb9db02c1e066c701003a2752")
+    assert digest(bipartite_random(9, 11, 0.35, (0.1, 0.8), 4)) == (
+        "f3c90d4528a756f9dbe6512bf6ba44fdb88fb351e7c67d512de124db120fd09c")
 
 
 def test_two_far_components_shape():

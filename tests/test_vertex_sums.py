@@ -1,16 +1,23 @@
 """Differential tests of the shared per-vertex and standard-error rules
-against the hand loops and scalar formulas they replaced."""
+against the hand loops and scalar formulas they replaced, and the shared
+epsilon rule at every entry point that checks it."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 
 from stochmatch.certificate import compute_f
-from stochmatch.decomposition import classify
+from stochmatch.decomposition import classify, threshold_schedule
+from stochmatch.harness import ExperimentConfig
+from stochmatch.mis import mis_round_budget
+from stochmatch.reduction import contract
 from stochmatch.sparsifier import build_q
-from stochmatch.stats import binomial_se
+from stochmatch.stats import binomial_se, check_epsilon
+from stochmatch.vim import VimParams
 
-from helpers import small_corpus
+from helpers import path_graph, small_corpus
 
 
 def _loop_vertex_sums(g, values, dtype):
@@ -67,3 +74,28 @@ def test_binomial_se_on_arrays_equals_the_scalar_formula():
         scalar = [math.sqrt(max(x * (1.0 - x), 0.0) / n) for x in p.tolist()]
         assert np.array_equal(binomial_se(p, n), scalar)
         assert all(binomial_se(x, n) == s for x, s in zip(p.tolist(), scalar))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_each_epsilon_check_refuses_values_outside_zero_one(epsilon):
+    g = path_graph(2)
+    cls = classify(g, [0.5, 0.5], tau_minus=0.4, tau_plus=0.6, epsilon=0.25)
+    q = build_q(g, R=2, seed=0)
+    checks = [
+        lambda: check_epsilon(epsilon),
+        lambda: VimParams(epsilon=epsilon),
+        lambda: ExperimentConfig(epsilon=epsilon),
+        lambda: mis_round_budget(3, epsilon),
+        lambda: threshold_schedule([0.5, 0.5], 1.0, epsilon),
+        lambda: compute_f(q, cls, epsilon),
+        lambda: contract(g, epsilon, 1.0, 0),
+    ]
+    message = re.escape(f"epsilon must be in (0, 1), got {epsilon}")
+    for check in checks:
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
+def test_check_epsilon_accepts_the_open_interval():
+    for epsilon in (1e-12, 0.3, 1.0 - 1e-12):
+        assert check_epsilon(epsilon) is None

@@ -384,6 +384,14 @@ def test_dependency_radius_needs_a_trial():
             engine.dependency_radius(0, 1, trials=trials)
 
 
+def test_dependency_radius_needs_a_vertex_of_the_graph():
+    engine = _path3_engine()
+    for v in (999, 3, -1):
+        with pytest.raises(ValueError, match=rf"vertex {v} is not in range\(3\)"):
+            engine.dependency_radius(v, 1, trials=2)
+    assert engine.perturbations_run == 0
+
+
 def test_single_edge_level_one_matches_when_realized():
     cls = single_edge_cls(p=1.0)
     params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=10)

@@ -38,6 +38,7 @@ TIMEOUT_S = 120
 V = "tests/test_vim.py::"
 M = "tests/test_matching.py::"
 C = "tests/test_cli.py::"
+H = "tests/test_harness.py::"
 MUTANTS = [
     # -- constants and state of the VIM construction --------------------------
     ("round_factor", "mis.py",
@@ -134,6 +135,23 @@ MUTANTS = [
     ("generator_overflow", "generators.py",
      "(TypeError, ValueError, OverflowError)", "(TypeError, ValueError)",
      [C + "test_input_errors_exit_2_without_a_traceback[n_infinite]"]),
+    ("generator_density", "generators.py",
+     "if density is not None and not (0.0 <= density[1] <= 1.0):", "if False:",
+     [H + "test_densities_outside_zero_one_are_refused",
+      C + "test_input_errors_exit_2_without_a_traceback[bipartite_density_above_one]"]),
+    ("dependency_radius_vertex", "vim.py",
+     "if not 0 <= v < self.cls.graph.n:", "if False:",
+     [V + "test_dependency_radius_needs_a_vertex_of_the_graph"]),
+    ("epsilon_open_interval", "stats.py",
+     "if not (0.0 < epsilon < 1.0):", "if not (0.0 < epsilon <= 1.0):",
+     ["tests/test_vertex_sums.py::test_each_epsilon_check_refuses_values_outside_zero_one"]),
+    # -- draw addresses of the graph generators --------------------------------
+    ("generator_pair_prefix", "generators.py",
+     'stream.child("pair")', 'stream.child("edge")',
+     [H + "test_generators_equal_the_per_pair_reference", H + "test_generated_edges_pinned"]),
+    ("generator_p_index", "generators.py",
+     "[ik[i] for i in kept]", "[ik[i] for i in range(len(kept))]",
+     [H + "test_generators_equal_the_per_pair_reference", H + "test_generated_edges_pinned"]),
 ]
 
 # (name, file, old text, new text, the tests it must pass, why it is equivalent)
