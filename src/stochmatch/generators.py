@@ -20,7 +20,7 @@ as it is.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .graph import StochasticGraph
 from .randomness import IntKeys, as_stream
@@ -35,11 +35,16 @@ __all__ = [
 ]
 
 
+_BLOCK = 4096  # candidates whose keep bits one ``uniforms_at`` call draws
+
+
 def _sample_graph(n, pairs, p, stream, density=None, keys=None) -> StochasticGraph:
     """The graph on ``n`` vertices with the kept ``pairs`` as edges, as the
     module docstring says; ``density`` is ``(name, value)`` and ``keys`` the
-    pair-draw keys.  The density and ``p`` are checked before any draw, so a
-    bad value raises even when no edge is drawn."""
+    pair-draw keys, in step with ``pairs``.  Both may be lazy: keep bits are
+    drawn a block of candidates at a time, so memory follows the edges kept,
+    not the candidates.  The density and ``p`` are checked before any draw,
+    so a bad value raises even when no edge is drawn."""
     if density is not None and not (0.0 <= density[1] <= 1.0):
         raise ValueError(f"{density[0]} must be in [0, 1], got {density[1]}")
     ranged = isinstance(p, (tuple, list))
@@ -54,33 +59,37 @@ def _sample_graph(n, pairs, p, stream, density=None, keys=None) -> StochasticGra
         if not (0.0 < p <= 1.0):
             raise ValueError(f"probability must be in (0, 1], got {p}")
     ik = IntKeys()
-    kept = range(len(pairs))
-    if density is not None:
-        # A generator of tails: ER(300) would hold 45k of them at once.
-        bits = stream.child("pair").uniforms_at((ik[u] + ik[v] for u, v in keys),
-                                                [None] * len(keys))
-        kept = [i for i, bit in enumerate(bits) if bit < density[1]]
+    if density is None:
+        kept = list(enumerate(pairs))
+    else:
+        draw, kept, start = stream.child("pair").uniforms_at, [], 0
+        pairs, keys = iter(pairs), iter(keys)
+        while block := list(islice(pairs, _BLOCK)):
+            k = len(block)
+            bits = draw([ik[u] + ik[v] for u, v in islice(keys, k)], [None] * k)
+            kept += [(start + j, pair) for j, (pair, bit) in enumerate(zip(block, bits))
+                     if bit < density[1]]
+            start += k
     if ranged:
-        draws = stream.child("p").uniforms_at([ik[i] for i in kept], [None] * len(kept))
+        draws = stream.child("p").uniforms_at([ik[i] for i, _ in kept], [None] * len(kept))
         probs = [lo + (hi - lo) * x for x in draws]
     else:
         probs = [p] * len(kept)
-    return StochasticGraph(n, [(*pairs[i], q) for i, q in zip(kept, probs)])
+    return StochasticGraph(n, [(*pair, q) for (_, pair), q in zip(kept, probs)])
 
 
 def erdos_renyi(n: int, edge_density: float, p, seed) -> StochasticGraph:
     """Each vertex pair becomes an edge independently with ``edge_density``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    pairs = list(combinations(range(n), 2))
-    return _sample_graph(n, pairs, p, as_stream(seed, "gen-er"),
-                         ("edge_density", edge_density), pairs)
+    return _sample_graph(n, combinations(range(n), 2), p, as_stream(seed, "gen-er"),
+                         ("edge_density", edge_density), combinations(range(n), 2))
 
 
 def clique(n: int, p) -> StochasticGraph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _sample_graph(n, list(combinations(range(n), 2)), p, as_stream(0, "gen-clique"))
+    return _sample_graph(n, combinations(range(n), 2), p, as_stream(0, "gen-clique"))
 
 
 def path(n: int, p) -> StochasticGraph:
@@ -94,9 +103,9 @@ def bipartite_random(n1: int, n2: int, density: float, p, seed) -> StochasticGra
     """Each left-right pair becomes an edge independently with ``density``."""
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides need at least one vertex")
-    keys = list(product(range(n1), range(n2)))
-    return _sample_graph(n1 + n2, [(u, n1 + v) for u, v in keys], p,
-                         as_stream(seed, "gen-bip"), ("density", density), keys)
+    return _sample_graph(n1 + n2, ((u, n1 + v) for u, v in product(range(n1), range(n2))),
+                         p, as_stream(seed, "gen-bip"), ("density", density),
+                         product(range(n1), range(n2)))
 
 
 _GADGETS = {"edge": (2, [(0, 1)]), "path3": (3, [(0, 1), (1, 2)]),

@@ -14,9 +14,21 @@ per-edge matching probabilities well defined downstream.
 
 Layout.  The search state is vertex-indexed lists of length n: ``match``,
 ``parent``, ``base`` (the base of the blossom holding a vertex) and
-``in_queue``.  They are allocated once per call and reset per search root by
-slice copies from constant templates.  Each lowest common ancestor search
-marks its path with a fresh integer stamp in one list that is never reset.
+``in_queue``.  They are allocated once per call.  A search writes ``base``
+and ``in_queue`` only for the vertices it queues, and ``parent`` only for
+those and for the odd vertices it labels (contractions and path marks write
+only to queued vertices), so after each search exactly those are reset, at a
+cost proportional to the search instead of to n.  Each lowest common
+ancestor search marks its path with a fresh integer stamp in one list that
+is never reset.
+
+Skipped searches.  The roots are the vertices still free after the greedy
+seed, in ascending id order.  An augmenting path from a root ends at another
+free vertex, which is a root, and not an earlier one: that root's search
+found no augmenting path, and by the lemma of Edmonds ("Paths, Trees, and
+Flowers", 1965) a free vertex with no augmenting path gets none from
+augmentations elsewhere.  So when no later root is still free the remaining
+searches would all fail without changing ``match``, and the loop stops.
 
 Contraction.  The classic formulation relabels every vertex ``x`` with
 ``in_blossom[base[x]]`` by one scan over all vertices in ascending id order,
@@ -45,7 +57,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .graph import Matching, Realization, StochasticGraph
+import numpy as np
+
+from .graph import _MASK_LIMIT, Matching, Realization, StochasticGraph
 
 __all__ = ["max_matching", "matched_by_mask", "mu"]
 
@@ -61,6 +75,9 @@ def _presence(g: StochasticGraph, edge_set):
     m = g.m
     mask = bytearray(m)
     for e in edge_set:
+        # A bool is an int to Python, so True would alias edge 1.
+        if isinstance(e, (bool, np.bool_)):
+            raise ValueError(f"edge ids must be integers, got the bool {e!r}")
         if not 0 <= e < m:
             raise ValueError(f"edge id {e} out of range for a graph with {m} edges")
         mask[e] = 1
@@ -91,11 +108,18 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
     """Ascending matched edge ids of the realization whose bit e says whether
     edge e is present, looked up in ``g.mask_table`` and matched on a miss.
 
-    Only for graphs with a mask table (at most ``graph._MASK_LIMIT`` edges).
+    A graph with no mask table (more than ``graph._MASK_LIMIT`` edges) or a
+    mask outside ``[0, 2**g.m)`` raises ``ValueError``; both are checked only
+    on a miss, so a hit costs one dict lookup.
     """
     table = g.mask_table
-    matched = table.get(mask)
+    matched = table.get(mask) if table is not None else None
     if matched is None:
+        if table is None:
+            raise ValueError(f"a graph of {g.m} edges has no mask table "
+                             f"(at most {_MASK_LIMIT} edges)")
+        if not 0 <= mask < 1 << g.m:
+            raise ValueError(f"mask {mask} out of range for a graph with {g.m} edges")
         adj = [[] for _ in range(g.n)]
         for v, u, e in g.half_edges:
             if mask >> e & 1:
@@ -140,18 +164,24 @@ def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:
                     match[u] = v
                     break
 
-    # Search state, allocated once and reset per root from constant templates.
-    neg, ident, unqueued = [-1] * n, list(range(n)), [False] * n
-    parent, base, in_queue = neg[:], ident[:], unqueued[:]
+    # Roots still free after the seed, ascending.  An augmenting path from a
+    # root ends at a free root after it: a free root before it had its search
+    # fail, and by Edmonds' lemma no augmentation since gives it a path.
+    free = [v for v in verts if match[v] < 0]
+    last = len(free) - 1
+    # Search state, allocated once; each search resets what it touched.
+    parent, base, in_queue = [-1] * n, list(range(n)), [False] * n
     on_path = [0] * n
     stamp = 0
-    for root in verts:
+    for i, root in enumerate(free):
         if match[root] >= 0:
             continue
-        parent[:] = neg
-        base[:] = ident
-        in_queue[:] = unqueued
+        while match[free[last]] >= 0:
+            last -= 1
+        if last == i:
+            break  # no later free root, so this and every later search fails
         members = {}
+        odd = []
         in_queue[root] = True
         queue = [root]
         # The loop reads the frontier while it grows, which is FIFO order.
@@ -191,6 +221,7 @@ def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:
                     members[cur_base] = members.get(cur_base, [cur_base]) + blossom
                 elif parent[to] < 0:
                     parent[to] = v
+                    odd.append(to)
                     if match[to] < 0:
                         _flip_path(to, parent, match)
                         break
@@ -199,6 +230,13 @@ def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:
             else:
                 continue
             break  # augmented: this root is done
+        # Contractions and path marks write only to queued vertices.
+        for x in queue:
+            parent[x] = -1
+            base[x] = x
+            in_queue[x] = False
+        for x in odd:
+            parent[x] = -1
     return match
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch.generators import erdos_renyi
-from stochmatch.graph import Matching, Realization, StochasticGraph, sample_realization
+from stochmatch.graph import _MASK_LIMIT, Matching, Realization, StochasticGraph, sample_realization
 from stochmatch.matching import matched_by_mask, max_matching, mu
 from stochmatch.randomness import RandomStream
 
@@ -198,6 +198,22 @@ def test_reference_agreement_on_random_er(n, density, seed):
     _check_graph(g, seed, subsets=3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=10, max_value=150),
+    st.floats(min_value=1.0, max_value=3.0),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_reference_agreement_on_sparse_random_graphs(n, degree, seed):
+    # At average degree 1-3 a maximum matching leaves several vertices free,
+    # so searches fail both before the last free root and at it.
+    rng = np.random.default_rng(seed)
+    us, vs = np.triu_indices(n, 1)
+    keep = rng.random(us.size) < degree / (n - 1)
+    g = StochasticGraph(n, [(int(u), int(v), 0.5) for u, v in zip(us[keep], vs[keep])])
+    _check_graph(g, seed, subsets=2)
+
+
 def test_reference_agreement_on_workload_realizations():
     g = erdos_renyi(300, 0.03, (0.2, 0.8), seed=7)
     stream = RandomStream(7, ("reference-diff",))
@@ -216,6 +232,17 @@ def test_out_of_range_edge_id_rejected(bad):
         max_matching(g, [0, bad])
     with pytest.raises(ValueError, match=f"edge id {bad} "):
         mu(g, [bad])
+
+
+def test_bool_edge_ids_rejected():
+    # True and False would otherwise be read as edge ids 1 and 0.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="bool True"):
+        max_matching(g, [True, False, True])
+    with pytest.raises(ValueError, match="bool"):
+        max_matching(g, np.array([True, False, True]))
+    with pytest.raises(ValueError, match="bool"):
+        mu(g, [0, np.True_])
 
 
 def test_realization_of_another_graph_rejected():
@@ -258,6 +285,11 @@ def _reference_corpus():
     stream = RandomStream(7, ("reference-diff",))
     for i in range(20):
         yield g, sample_realization(g, stream.child(i))
+    # n=1000 is where resetting only what a search touched saves the most.
+    g = erdos_renyi(1000, 0.004, (0.2, 0.8), seed=3)
+    stream = RandomStream(3, ("reference-diff",))
+    for i in range(3):
+        yield g, sample_realization(g, stream.child(i))
 
 
 def _assert_equals_checked_construction(g, result):
@@ -296,3 +328,19 @@ def test_mask_path_equals_max_matching_on_every_mask():
             ids = [e for e in range(g.m) if mask >> e & 1]
             assert matched_by_mask(g, mask) == tuple(sorted(max_matching(g, ids).edges))
         assert len(g.mask_table) == 1 << g.m
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 3, 1 << 10])
+def test_mask_outside_the_table_range_rejected(mask):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match=f"mask {mask} out of range"):
+        matched_by_mask(g, mask)
+    assert g.mask_table == {}
+    assert matched_by_mask(g, (1 << 3) - 1) == (0, 2)
+
+
+def test_mask_on_a_graph_without_a_mask_table_rejected():
+    g = path_graph(_MASK_LIMIT + 1)
+    assert g.mask_table is None
+    with pytest.raises(ValueError, match="no mask table"):
+        matched_by_mask(g, 1)

@@ -91,6 +91,16 @@ MUTANTS = [
      "members.pop(b, (b,))", "(b,)",
      [M + "test_reference_agreement_on_workload_realizations",
       M + "test_blossom_results_equal_the_checked_constructor"]),
+    ("blossom_odd_reset", "matching.py",
+     "        for x in odd:\n            parent[x] = -1\n", "",
+     [M + "test_reference_agreement_on_workload_realizations",
+      M + "test_reference_agreement_on_sparse_random_graphs",
+      M + "test_blossom_results_equal_the_checked_constructor"]),
+    ("blossom_last_root", "matching.py",
+     "if last == i:", "if last <= i + 1:",
+     [M + "test_reference_agreement_on_workload_realizations",
+      M + "test_reference_agreement_on_sparse_random_graphs",
+      M + "test_blossom_results_equal_the_checked_constructor"]),
     ("kahan_compensation", "oracle.py",
      "comp[e] = (t - total[e]) - y", "comp[e] = 0.0",
      ["tests/test_oracle.py::test_exact_stats_bits_equal_the_numpy_element_reference"]),
@@ -150,7 +160,7 @@ MUTANTS = [
      'stream.child("pair")', 'stream.child("edge")',
      [H + "test_generators_equal_the_per_pair_reference", H + "test_generated_edges_pinned"]),
     ("generator_p_index", "generators.py",
-     "[ik[i] for i in kept]", "[ik[i] for i in range(len(kept))]",
+     "[ik[i] for i, _ in kept]", "[ik[i] for i in range(len(kept))]",
      [H + "test_generators_equal_the_per_pair_reference", H + "test_generated_edges_pinned"]),
 ]
 
