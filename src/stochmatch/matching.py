@@ -109,15 +109,15 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
     edge e is present, looked up in ``g.mask_table`` and matched on a miss.
 
     A graph with no mask table (more than ``graph._MASK_LIMIT`` edges) or a
-    mask outside ``[0, 2**g.m)`` raises ``ValueError``; both are checked only
-    on a miss, so a hit costs one dict lookup.
+    mask outside ``[0, 2**g.m)`` raises ``ValueError``; the mask is checked
+    only on a miss, so a hit costs one dict lookup.
     """
     table = g.mask_table
-    matched = table.get(mask) if table is not None else None
+    if table is None:
+        raise ValueError(f"a graph of {g.m} edges has no mask table "
+                         f"(at most {_MASK_LIMIT} edges)")
+    matched = table.get(mask)
     if matched is None:
-        if table is None:
-            raise ValueError(f"a graph of {g.m} edges has no mask table "
-                             f"(at most {_MASK_LIMIT} edges)")
         if not 0 <= mask < 1 << g.m:
             raise ValueError(f"mask {mask} out of range for a graph with {g.m} edges")
         adj = [[] for _ in range(g.n)]
