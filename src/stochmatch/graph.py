@@ -9,6 +9,8 @@ before this module ever sees them).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import GraphFormatError
@@ -19,10 +21,29 @@ __all__ = ["StochasticGraph", "Realization", "Matching", "sample_realization"]
 _MASK_LIMIT = 62  # a realization bitmask must fit an int64
 
 
+class LexEdges(NamedTuple):
+    """The edges of a graph listed once each, ascending by (u, v) with u < v.
+
+    ``pairs[i]`` is the i-th pair and ``ids[i]`` (an intp array) its edge id,
+    so ``present[ids]`` reorders a per-edge mask into this order.
+    ``pair_id`` maps ``u * n + v`` back to the edge id of pair (u, v).
+    ``bits[i]`` is ``1 << ids[i]``, the edge's bit in a realization bitmask,
+    for graphs with a mask table (at most ``_MASK_LIMIT`` edges), else None:
+    past that no bitmask is matched, and the bits would be ints of up to m
+    bits each.  ``matching`` reads every edge set through this order, which
+    gives it ascending neighbor lists and its greedy seed in one pass.
+    """
+
+    pairs: list[tuple[int, int]]
+    ids: np.ndarray
+    pair_id: dict[int, int]
+    bits: list[int] | None
+
+
 class StochasticGraph:
     """Simple undirected graph where edge ``e`` realizes with probability ``p_e``."""
 
-    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_half_edges", "_masks")
+    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_lex", "_masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -42,7 +63,7 @@ class StochasticGraph:
         self.ps = np.array([e[2] for e in norm], dtype=np.float64)
         self.p_min = float(self.ps.min()) if norm else 1.0
         self._adj = None
-        self._half_edges = None
+        self._lex = None
         self._masks = None
 
     def endpoints(self, e: int) -> tuple[int, int]:
@@ -63,12 +84,20 @@ class StochasticGraph:
         return self._adj
 
     @property
-    def half_edges(self) -> list[tuple[int, int, int]]:
-        """``adjacency`` flattened to (vertex, neighbor, edge id), ascending by
-        (vertex, neighbor): both orientations of every edge."""
-        if self._half_edges is None:
-            self._half_edges = [(v, u, e) for v, row in enumerate(self.adjacency) for u, e in row]
-        return self._half_edges
+    def lex_edges(self) -> LexEdges:
+        """The edges in ascending (u, v) order with their ids, built on first
+        use; the matching engine reads every edge set through it."""
+        if self._lex is None:
+            n, edges = self.n, self.edges
+            order = sorted(range(self.m), key=edges.__getitem__)
+            pairs = [edges[e][:2] for e in order]
+            self._lex = LexEdges(
+                pairs,
+                np.array(order, dtype=np.intp),
+                {u * n + v: e for (u, v), e in zip(pairs, order)},
+                [1 << e for e in order] if self.m <= _MASK_LIMIT else None,
+            )
+        return self._lex
 
     @property
     def mask_table(self) -> dict[int, tuple[int, ...]] | None:

@@ -1,26 +1,40 @@
 """Deterministic maximum-cardinality matching (Edmonds blossom).
 
-The matching routine is a pure function of the edge set.  Each call filters
-the graph's cached adjacency (``StochasticGraph.half_edges``, the flattened
-``adjacency``, ascending by vertex and then neighbor id) through a presence
-test on the edge set: the realization's ``present`` mask, a byte mask of
-the given edge ids, or the bits of a realization bitmask.  Every vertex's
-neighbor list is therefore ascending without a per-call sort or an edge
-lookup table.  Only vertices with at least one present edge take part.  A
-greedy seed matching scans them in ascending id order, and augmenting
-searches start from free vertices in ascending id order with a FIFO frontier.  Two calls on the same edge set (in
-any input order or form) return identical matchings, which is what makes
-per-edge matching probabilities well defined downstream.
+The matching routine is a pure function of the edge set.  Only vertices with
+at least one present edge take part.  A greedy seed matching scans them in
+ascending id order, each taking its lowest free neighbor, and augmenting
+searches start from free vertices in ascending id order with a FIFO
+frontier.  Two calls on the same edge set (in any input order or form)
+return identical matchings, which is what makes per-edge matching
+probabilities well defined downstream.
 
-Layout.  The search state is vertex-indexed lists of length n: ``match``,
-``parent``, ``base`` (the base of the blossom holding a vertex) and
-``in_queue``.  They are allocated once per call.  A search writes ``base``
-and ``in_queue`` only for the vertices it queues, and ``parent`` only for
-those and for the odd vertices it labels (contractions and path marks write
-only to queued vertices), so after each search exactly those are reset, at a
-cost proportional to the search instead of to n.  Each lowest common
-ancestor search marks its path with a fresh integer stamp in one list that
-is never reset.
+Layout.  Every call makes one pass over the graph's edges in ascending
+(u, v) order (``StochasticGraph.lex_edges``, u < v), filtered by a selector
+in that order: the realization's ``present`` mask gathered by the cached
+ids (``itertools.compress`` then yields only the present pairs), the
+presence bytes of the given edge ids gathered the same way, or the bits of a
+realization bitmask.  The pass appends v to u's neighbor list and u to v's.
+Each list comes out ascending without a sort: a vertex x first receives its
+neighbors below it, each from an earlier u-group and so in ascending order,
+and then, in its own u-group, its neighbors above it in ascending order.
+
+Greedy seed.  The same pass matches (u, v) when both ends are still free,
+and this is the vertex scan above, one u-group for each vertex.  The group
+of x holds x's edges to its neighbors above it in ascending order, so a
+free x takes its lowest free neighbor above it.  It has no free neighbor
+below it: seed matches are never undone, so a neighbor w < x found x free
+in its own group and, if still free itself, was matched there.  ``_blossom``
+starts from this seeded ``match``.
+
+Search state.  ``match``, ``parent``, ``base`` (the base of the blossom
+holding a vertex) and ``in_queue`` are vertex-indexed lists of length n,
+allocated once per call.  A search writes
+``base`` and ``in_queue`` only for the vertices it queues, and ``parent``
+only for those and for the odd vertices it labels (contractions and path
+marks write only to queued vertices), so after each search exactly those are
+reset, at a cost proportional to the search instead of to n.  Each lowest
+common ancestor search marks its path with a fresh integer stamp in one list
+that is never reset.
 
 Skipped searches.  The roots are the vertices still free after the greedy
 seed, in ascending id order.  An augmenting path from a root ends at another
@@ -41,21 +55,23 @@ pushing, so the frontier receives the same vertices in the same ascending
 order as the scan, at a cost proportional to the blossom instead of to n.
 
 Result.  The matched edge ids come from the ``match`` list, which is an
-involution: each matched pair is listed once from its lower vertex, and its
-edge id comes from a bisect in ``adjacency``.  The pairs are vertex-disjoint
-by construction, so ``max_matching`` builds its ``Matching`` from the ids
-alone and skips the public constructor's re-validation.
+involution: each matched pair (v, u) is listed once, from its lower vertex
+v, and its edge id is ``lex_edges.pair_id[v * n + u]``, one dict lookup.
+The pairs are vertex-disjoint by construction, so ``max_matching`` builds
+its ``Matching`` from the ids alone and skips the public constructor's
+re-validation.
 
 Small graphs.  ``matched_by_mask`` answers from the graph's ``mask_table``,
-matching a realization bitmask only the first time it is seen.  A miss reads
-the presence of edge e straight from bit e of the mask and stores the
-ascending matched edge ids; it builds no ``Matching`` and does not go through
-``max_matching``, whose result it equals.
+matching a realization bitmask only the first time it is seen.  A miss
+selects edge e when bit e of the mask is set (``lex_edges.bits``) and
+stores the ascending matched edge ids; it builds no ``Matching`` and does
+not go through ``max_matching``, whose result it equals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import compress, repeat
+from operator import index
 
 import numpy as np
 
@@ -64,39 +80,40 @@ from .graph import _MASK_LIMIT, Matching, Realization, StochasticGraph
 __all__ = ["max_matching", "matched_by_mask", "mu"]
 
 
-def _presence(g: StochasticGraph, edge_set):
-    """Bytes-like presence test indexed by edge id (nonzero = present)."""
+def _selector(g: StochasticGraph, edge_set):
+    """Presence of each edge of ``g.lex_edges`` in its (u, v) order (truthy =
+    present), for ``itertools.compress`` over the pairs."""
     if edge_set is None:
-        return b"\x01" * g.m
+        return repeat(True)
+    ids = g.lex_edges.ids
     if isinstance(edge_set, Realization):
         if edge_set.parent is not g:
             raise ValueError("realization belongs to a different graph")
-        return edge_set.present.tobytes()
+        return edge_set.present[ids].tobytes()
     m = g.m
     mask = bytearray(m)
     for e in edge_set:
         # A bool is an int to Python, so True would alias edge 1.
         if isinstance(e, (bool, np.bool_)):
             raise ValueError(f"edge ids must be integers, got the bool {e!r}")
+        try:
+            e = index(e)
+        except TypeError:
+            raise ValueError(f"edge ids must be integers, got {e!r}") from None
         if not 0 <= e < m:
             raise ValueError(f"edge id {e} out of range for a graph with {m} edges")
         mask[e] = 1
-    return mask
+    return np.frombuffer(mask, dtype=np.uint8)[ids].tobytes()
 
 
 def max_matching(g: StochasticGraph, edge_set=None) -> Matching:
     """Maximum-cardinality matching of the given edge subset of ``g``.
 
-    ``edge_set`` may be a Realization of ``g``, an iterable of edge ids in
-    ``[0, g.m)``, or None for the whole graph.  The empty edge set yields the
-    empty matching.
+    ``edge_set`` may be a Realization of ``g``, an iterable of integer edge
+    ids in ``[0, g.m)``, or None for the whole graph.  The empty edge set
+    yields the empty matching.
     """
-    present = _presence(g, edge_set)
-    adj = [[] for _ in range(g.n)]
-    for v, u, e in g.half_edges:
-        if present[e]:
-            adj[v].append(u)
-    return Matching._from_pairs(g, _matched_edges(g, adj))
+    return Matching._from_pairs(g, _matched_edges(g, _selector(g, edge_set)))
 
 
 def mu(g: StochasticGraph, edge_set=None) -> int:
@@ -120,54 +137,47 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
     if matched is None:
         if not 0 <= mask < 1 << g.m:
             raise ValueError(f"mask {mask} out of range for a graph with {g.m} edges")
-        adj = [[] for _ in range(g.n)]
-        for v, u, e in g.half_edges:
-            if mask >> e & 1:
-                adj[v].append(u)
-        matched = table[mask] = tuple(sorted(_matched_edges(g, adj)))
+        selector = map(mask.__and__, g.lex_edges.bits)
+        matched = table[mask] = tuple(sorted(_matched_edges(g, selector)))
     return matched
 
 
-def _matched_edges(g: StochasticGraph, adj: list[list[int]]) -> list[int]:
-    """Edge ids of the blossom matching on the ascending neighbor lists ``adj``.
+def _matched_edges(g: StochasticGraph, selector) -> list[int]:
+    """Edge ids of the blossom matching on the edges ``selector`` marks in
+    ``g.lex_edges``, listed by ascending lower endpoint.
 
-    ``match`` is an involution (match[match[v]] == v for every matched v), so
-    each pair is listed once, from its lower vertex, and the pairs are
-    vertex-disjoint by construction.
+    One pass over the present pairs in (u, v) order builds the ascending
+    neighbor lists and the greedy seed.  ``match`` is an involution
+    (match[match[v]] == v for every matched v), so each pair is read once,
+    from its lower vertex, and the pairs are vertex-disjoint by construction.
     """
-    verts = [v for v, nbrs in enumerate(adj) if nbrs]
-    match = _blossom(g.n, verts, adj)
-    rows = g.adjacency
-    out = []
-    for v in verts:
-        u = match[v]
-        if u > v:
-            row = rows[v]
-            out.append(row[bisect_left(row, (u,))][1])
-    return out
+    lex = g.lex_edges
+    n = g.n
+    adj = [[] for _ in range(n)]
+    match = [-1] * n
+    for u, v in compress(lex.pairs, selector):
+        adj[u].append(v)
+        adj[v].append(u)
+        if match[u] < 0 and match[v] < 0:
+            match[u] = v
+            match[v] = u
+    _blossom(adj, match)
+    pair_id = lex.pair_id
+    return [pair_id[v * n + u] for v, u in enumerate(match) if u > v]
 
 
-def _blossom(n: int, verts: list[int], adj: list[list[int]]) -> list[int]:
-    """Edmonds' algorithm on vertex-indexed neighbor lists; returns ``match``.
+def _blossom(adj: list[list[int]], match: list[int]) -> list[int]:
+    """Edmonds' algorithm on vertex-indexed ascending neighbor lists, from the
+    greedy seed ``match``; completes ``match`` in place and returns it.
 
     Classic O(V^3) contraction-by-base-array formulation.  All iteration
     orders are fixed by the ascending inputs, so the result is canonical.
     """
-    match = [-1] * n
-
-    # Greedy seed keeps the number of augmenting searches small.
-    for v in verts:
-        if match[v] < 0:
-            for u in adj[v]:
-                if match[u] < 0:
-                    match[v] = u
-                    match[u] = v
-                    break
-
+    n = len(match)
     # Roots still free after the seed, ascending.  An augmenting path from a
     # root ends at a free root after it: a free root before it had its search
     # fail, and by Edmonds' lemma no augmentation since gives it a path.
-    free = [v for v in verts if match[v] < 0]
+    free = [v for v, w in enumerate(match) if w < 0 and adj[v]]
     last = len(free) - 1
     # Search state, allocated once; each search resets what it touched.
     parent, base, in_queue = [-1] * n, list(range(n)), [False] * n

@@ -96,6 +96,16 @@ def test_degrees_count_each_listed_edge():
     assert empty.dtype == np.float64 and empty.tolist() == [0.0, 0.0, 0.0]
 
 
-def test_half_edges_flatten_adjacency():
+def test_lex_edges_list_each_edge_once_ascending():
     g = StochasticGraph(4, [(2, 0, 0.5), (0, 1, 0.5), (3, 1, 0.5)])
-    assert g.half_edges == [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 3, 2), (2, 0, 0), (3, 1, 2)]
+    lex = g.lex_edges
+    assert lex.pairs == [(0, 1), (0, 2), (1, 3)]
+    assert lex.ids.dtype == np.intp and lex.ids.tolist() == [1, 0, 2]
+    assert lex.pair_id == {0 * 4 + 1: 1, 0 * 4 + 2: 0, 1 * 4 + 3: 2}
+    for key, e in lex.pair_id.items():
+        assert g.endpoints(e) == divmod(key, g.n)
+    assert lex.bits == [1 << 1, 1 << 0, 1 << 2]
+    assert g.lex_edges is lex
+    # Past the mask-table limit the edge bits would only be huge ints.
+    long_path = StochasticGraph(64, [(i, i + 1, 0.5) for i in range(63)])
+    assert long_path.mask_table is None and long_path.lex_edges.bits is None

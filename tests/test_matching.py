@@ -1,5 +1,7 @@
 """Maximum-matching engine: correctness and the determinism contract."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,31 @@ def test_reference_agreement_on_workload_realizations():
         _assert_same_as_reference(g, sample_realization(g, stream.child(i)).present, rng)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=18),
+    st.floats(min_value=0.1, max_value=0.7),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_reference_agreement_with_edge_ids_out_of_pair_order(n, density, seed):
+    # Shuffled edge ids and endpoints sometimes given as (v, u): the engine's
+    # pass over the edges in (u, v) order is not their id order here.
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    rng.shuffle(pairs)
+    g = StochasticGraph(n, [(v, u, 0.5) if rng.random() < 0.5 else (u, v, 0.5)
+                            for u, v in pairs])
+    for _ in range(4):
+        present = rng.random(g.m) < rng.uniform(0.3, 1.0)
+        ids = [int(e) for e in np.flatnonzero(present)]
+        expected = reference_max_matching(g, ids).edges
+        assert max_matching(g, Realization(g, present)).edges == expected
+        assert max_matching(g, [int(e) for e in rng.permutation(ids)]).edges == expected
+        if g.mask_table is not None:
+            assert matched_by_mask(g, sum(1 << e for e in ids)) == tuple(sorted(expected))
+    assert max_matching(g).edges == reference_max_matching(g).edges
+
+
 # -- edge-set validation --------------------------------------------------------
 
 
@@ -243,6 +270,16 @@ def test_bool_edge_ids_rejected():
         max_matching(g, np.array([True, False, True]))
     with pytest.raises(ValueError, match="bool"):
         mu(g, [0, np.True_])
+
+
+@pytest.mark.parametrize("bad", [1.0, np.float64(1.0), "1", None])
+def test_non_integer_edge_ids_rejected(bad):
+    g = path2()
+    with pytest.raises(ValueError, match=re.escape(f"edge ids must be integers, got {bad!r}")):
+        max_matching(g, [0, bad])
+    # numpy integers are integers.
+    assert max_matching(g, [np.int64(1), np.uint8(0)]).edges == frozenset({0})
+    assert max_matching(g, np.array([1])).edges == frozenset({1})
 
 
 def test_realization_of_another_graph_rejected():

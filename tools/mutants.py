@@ -7,7 +7,10 @@ old text, which must occur exactly once, and runs only the named tests there
 under a timeout.  The mutant is killed when pytest reports a failing test or
 the run times out (a broken loop can hang); it survives when the tests pass.
 First the named tests of every mutant run once on the unmutated copy and
-must pass, so a kill is the mutation's doing.
+must pass, so a kill is the mutation's doing.  That run also times each
+test, and a mutant's timeout is ``TIMEOUT_FACTOR`` times the unmutated time
+of its named tests plus ``TIMEOUT_PAD_S`` (pytest start-up and imports), so a
+mutant that hangs costs seconds, not minutes.
 
 Expected survivors are mutants that no test can kill, each with the reason:
 they must pass their tests, so a test that starts killing one shows that
@@ -25,6 +28,7 @@ Only the standard library is imported here; pytest runs in child processes.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -33,7 +37,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 120
+CLEAN_TIMEOUT_S = 600  # the one unmutated run of every named test
+TIMEOUT_FACTOR, TIMEOUT_PAD_S = 5, 10
 
 V = "tests/test_vim.py::"
 M = "tests/test_matching.py::"
@@ -101,6 +106,12 @@ MUTANTS = [
      [M + "test_reference_agreement_on_workload_realizations",
       M + "test_reference_agreement_on_sparse_random_graphs",
       M + "test_blossom_results_equal_the_checked_constructor"]),
+    ("lex_pass_id_order", "graph.py",
+     "sorted(range(self.m), key=edges.__getitem__)", "range(self.m)",
+     [M + "test_reference_agreement_with_edge_ids_out_of_pair_order"]),
+    ("lex_seed_lower_end_free", "matching.py",
+     "if match[u] < 0 and match[v] < 0:", "if match[v] < 0:",
+     [M + "test_reference_agreement_with_edge_ids_out_of_pair_order"]),
     ("kahan_compensation", "oracle.py",
      "comp[e] = (t - total[e]) - y", "comp[e] = 0.0",
      ["tests/test_oracle.py::test_exact_stats_bits_equal_the_numpy_element_reference"]),
@@ -182,17 +193,41 @@ def copy_tree(dest: Path):
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def run_tests(where: Path, tests) -> tuple[str, str]:
-    """('pass' | 'fail' | 'timeout' | 'error', tail of the output)."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+def run_tests(where: Path, tests, timeout_s: float, *extra) -> tuple[str, str]:
+    """('pass' | 'fail' | 'timeout' | 'error', pytest's output), with the
+    ``extra`` pytest options."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *extra, *tests]
     try:
         proc = subprocess.run(cmd, cwd=where, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout_s)
     except subprocess.TimeoutExpired:
         return "timeout", ""
-    tail = "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-5:])
     status = {0: "pass", 1: "fail"}.get(proc.returncode, "error")
-    return status, tail
+    return status, (proc.stdout + proc.stderr).strip()
+
+
+def tail(out: str) -> str:
+    return "\n".join(out.splitlines()[-5:])
+
+
+_DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(\S.*)$", re.M)
+
+
+def seconds_by_test(durations: str) -> dict[str, float]:
+    """Seconds per test node id from pytest's ``--durations=0`` report."""
+    out: dict[str, float] = {}
+    for secs, node in _DURATION.findall(durations):
+        out[node] = out.get(node, 0.0) + float(secs)
+    return out
+
+
+def timeout_for(tests, seconds: dict[str, float]) -> float:
+    """The mutant timeout for ``tests``, each a node id, a parametrized test's
+    id without its parameters, or a whole file."""
+    total = sum(t for node, t in seconds.items()
+                if any(node == name or node.startswith(name + ("[" if "::" in name else "::"))
+                       for name in tests))
+    return TIMEOUT_FACTOR * total + TIMEOUT_PAD_S
 
 
 def apply(dest: Path, file: str, old: str, new: str):
@@ -203,14 +238,15 @@ def apply(dest: Path, file: str, old: str, new: str):
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def run_mutant(tmp: str, name: str, file: str, old: str, new: str, tests) -> tuple[str, str]:
+def run_mutant(tmp: str, name: str, file: str, old: str, new: str, tests,
+               timeout_s: float) -> tuple[str, str]:
     """Apply one mutant to a fresh copy and run its tests, as ``run_tests``;
     ('error', reason) when the old text cannot be replaced."""
     work = Path(tmp) / name
     copy_tree(work)
     try:
         apply(work, file, old, new)
-        return run_tests(work, tests)
+        return run_tests(work, tests, timeout_s)
     except ValueError as exc:
         return "error", f"cannot apply: {exc}"
     finally:
@@ -223,16 +259,19 @@ def main() -> int:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
         all_tests = list(dict.fromkeys(t for m in MUTANTS + SURVIVORS for t in m[4]))
-        status, tail = run_tests(clean, all_tests)
+        status, out = run_tests(clean, all_tests, CLEAN_TIMEOUT_S,
+                                "--durations=0", "--durations-min=0")
         print(f"unmutated: {status} ({len(all_tests)} tests)", flush=True)
         if status != "pass":
-            print(tail)
+            print(tail(out))
             return 1
+        seconds = seconds_by_test(out)
         # A survivor entry carries its reason as a sixth field.
         for name, file, old, new, tests, *why in MUTANTS + SURVIVORS:
             start = time.perf_counter()
-            status, tail = run_mutant(tmp, name, file, old, new, tests)
-            verdict = {"fail": "killed", "timeout": "killed (timeout)",
+            timeout_s = timeout_for(tests, seconds)
+            status, out = run_mutant(tmp, name, file, old, new, tests, timeout_s)
+            verdict = {"fail": "killed", "timeout": f"killed (timeout of {timeout_s:.0f}s)",
                        "pass": "survived"}.get(status, "ERROR")
             expected = status == "pass" if why else status in ("fail", "timeout")
             note = f" ({why[0]})" if why else ""
@@ -240,7 +279,7 @@ def main() -> int:
                   f"{time.perf_counter() - start:.1f}s{note}", flush=True)
             if not expected:
                 failures += 1
-                print(tail)
+                print(tail(out))
     total = len(MUTANTS) + len(SURVIVORS)
     print(f"{total - failures} of {total} mutants as expected "
           f"({len(MUTANTS)} to be killed, {len(SURVIVORS)} to survive)")
