@@ -28,13 +28,13 @@ starts from this seeded ``match``.
 
 Search state.  ``match``, ``parent``, ``base`` (the base of the blossom
 holding a vertex) and ``in_queue`` are vertex-indexed lists of length n,
-allocated once per call.  A search writes
-``base`` and ``in_queue`` only for the vertices it queues, and ``parent``
-only for those and for the odd vertices it labels (contractions and path
-marks write only to queued vertices), so after each search exactly those are
-reset, at a cost proportional to the search instead of to n.  Each lowest
-common ancestor search marks its path with a fresh integer stamp in one list
-that is never reset.
+allocated once per call.  A search writes ``base`` and ``in_queue`` only for
+the vertices it queues, and ``parent`` only for those and for the odd
+vertices it labels (contractions and path marks write only to queued
+vertices), so after each search exactly those are reset, at a cost
+proportional to the search instead of to n.  Each lowest common ancestor
+search marks its path with a fresh integer stamp in one list that is never
+reset.
 
 Skipped searches.  The roots are the vertices still free after the greedy
 seed, in ascending id order.  An augmenting path from a root ends at another
@@ -166,9 +166,9 @@ def _matched_edges(g: StochasticGraph, selector) -> list[int]:
     return [pair_id[v * n + u] for v, u in enumerate(match) if u > v]
 
 
-def _blossom(adj: list[list[int]], match: list[int]) -> list[int]:
+def _blossom(adj: list[list[int]], match: list[int]) -> None:
     """Edmonds' algorithm on vertex-indexed ascending neighbor lists, from the
-    greedy seed ``match``; completes ``match`` in place and returns it.
+    greedy seed ``match``, which it completes in place.
 
     Classic O(V^3) contraction-by-base-array formulation.  All iteration
     orders are fixed by the ascending inputs, so the result is canonical.
@@ -247,7 +247,6 @@ def _blossom(adj: list[list[int]], match: list[int]) -> list[int]:
             in_queue[x] = False
         for x in odd:
             parent[x] = -1
-    return match
 
 
 def _mark_path(v, b, child, base, match, parent, marked):
