@@ -253,8 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("contract", _cmd_contract, ("epsilon", "out"), help="vertex sparsification")
     p.add_argument("--opt", type=float, required=True, help="opt estimate")
 
-    for name, fn in (("vim", _cmd_vim), ("certify", _cmd_certify)):
-        p = command(name, fn, ("epsilon", "samples", "out", "paper", "schedule"))
+    for name, fn, help in (
+        ("vim", _cmd_vim, "VIM matched frequencies and independence test"),
+        ("certify", _cmd_certify, "fractional certificate sizes and f-property checks"),
+    ):
+        p = command(name, fn, ("epsilon", "samples", "out", "paper", "schedule"), help=help)
         p.add_argument("--alpha", type=int)
         p.add_argument("--depth", type=int)
         p.add_argument("--walk-cap", dest="walk_cap", type=int)

@@ -120,7 +120,7 @@ def estimate_q(g: StochasticGraph, samples: int, seed) -> QEstimate:
             sum_mu_sq += k * k * c
             for e in matched:
                 block_counts[e] += c
-        counts += block_counts
+        counts += np.array(block_counts, dtype=np.int64)  # an empty list adds as float64
         done += take
         block_index += 1
     return QEstimate(g, samples, counts, sum_mu, sum_mu_sq)

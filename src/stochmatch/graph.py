@@ -30,20 +30,25 @@ class LexEdges(NamedTuple):
     ``bits[i]`` is ``1 << ids[i]``, the edge's bit in a realization bitmask,
     for graphs with a mask table (at most ``_MASK_LIMIT`` edges), else None:
     past that no bitmask is matched, and the bits would be ints of up to m
-    bits each.  ``matching`` reads every edge set through this order, which
-    gives it ascending neighbor lists and its greedy seed in one pass.
+    bits each.  ``touch[e]``, indexed by edge id and also None past the
+    limit, is the bitmask of the edges sharing an endpoint with edge e, e
+    included: ``matching.matched_by_mask`` grows a mask's connected
+    components from it.  ``matching`` reads every edge set through this
+    order, which gives it ascending neighbor lists and its greedy seed in one
+    pass.
     """
 
     pairs: list[tuple[int, int]]
     ids: np.ndarray
     pair_id: dict[int, int]
     bits: list[int] | None
+    touch: list[int] | None
 
 
 class StochasticGraph:
     """Simple undirected graph where edge ``e`` realizes with probability ``p_e``."""
 
-    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_adj", "_lex", "_masks")
+    __slots__ = ("n", "edges", "us", "vs", "ps", "m", "p_min", "_lex", "_masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -62,26 +67,12 @@ class StochasticGraph:
         self.vs = np.array([e[1] for e in norm], dtype=np.int64)
         self.ps = np.array([e[2] for e in norm], dtype=np.float64)
         self.p_min = float(self.ps.min()) if norm else 1.0
-        self._adj = None
         self._lex = None
         self._masks = None
 
     def endpoints(self, e: int) -> tuple[int, int]:
         edge = self.edges[e]
         return edge[0], edge[1]
-
-    @property
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge id), ascending by neighbor id."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for e, (u, v, _p) in enumerate(self.edges):
-                adj[u].append((v, e))
-                adj[v].append((u, e))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
 
     @property
     def lex_edges(self) -> LexEdges:
@@ -91,11 +82,20 @@ class StochasticGraph:
             n, edges = self.n, self.edges
             order = sorted(range(self.m), key=edges.__getitem__)
             pairs = [edges[e][:2] for e in order]
+            bits = touch = None
+            if self.m <= _MASK_LIMIT:
+                bits = [1 << e for e in order]
+                at = [0] * n  # bitmask of the edges at each vertex
+                for e, (u, v, _p) in enumerate(edges):
+                    at[u] |= 1 << e
+                    at[v] |= 1 << e
+                touch = [at[u] | at[v] for u, v, _p in edges]
             self._lex = LexEdges(
                 pairs,
                 np.array(order, dtype=np.intp),
                 {u * n + v: e for (u, v), e in zip(pairs, order)},
-                [1 << e for e in order] if self.m <= _MASK_LIMIT else None,
+                bits,
+                touch,
             )
         return self._lex
 
@@ -105,10 +105,10 @@ class StochasticGraph:
         or None for graphs of more than ``_MASK_LIMIT`` edges.
 
         The table is created empty on first use and holds only masks that
-        were actually matched (``matching.matched_by_mask`` fills it), so it
-        grows with the distinct realizations seen, up to 2^m entries.  The
-        Monte Carlo estimator and the exact oracle share it, so each mask is
-        matched once per graph.
+        were actually matched (``matching.matched_by_mask`` fills it): the
+        distinct realizations seen and the component submasks a disconnected
+        one is split into, up to 2^m entries.  The Monte Carlo estimator and
+        the exact oracle share it, so each mask is matched once per graph.
         """
         if self._masks is None and self.m <= _MASK_LIMIT:
             self._masks = {}

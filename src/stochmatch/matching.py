@@ -62,10 +62,28 @@ its ``Matching`` from the ids alone and skips the public constructor's
 re-validation.
 
 Small graphs.  ``matched_by_mask`` answers from the graph's ``mask_table``,
-matching a realization bitmask only the first time it is seen.  A miss
-selects edge e when bit e of the mask is set (``lex_edges.bits``) and
-stores the ascending matched edge ids; it builds no ``Matching`` and does
-not go through ``max_matching``, whose result it equals.
+matching a realization bitmask only the first time it is seen, and stores
+the ascending matched edge ids; it builds no ``Matching`` and does not go
+through ``max_matching``, whose result it equals.  A miss grows the
+connected component C of the mask's highest set edge by a breadth-first
+search over bitmasks (``lex_edges.touch``).  A connected mask (C == mask)
+runs the blossom, selecting edge e when bit e is set (``lex_edges.bits``).
+Any other mask stores the union of the matchings of C and of mask ^ C, two
+smaller submasks, which are usually in the table already.  That union is
+the blossom's matching of the whole mask, for three reasons.  First, the
+pass in (u, v) order gives each vertex only the neighbors of its own
+component, in the same order as a pass over that component alone, and the
+greedy seed decides (u, v) only from ``match[u]`` and ``match[v]``; so the
+seed restricted to a component is that component's own seed.  Second, a
+search from root r reads and writes only r's component (its frontier
+follows edges, and contractions and path flips stay on the search tree),
+it resets what it touched, and the path-mark stamps are only compared for
+equality with the current one; so the searches of other components neither
+see nor change it.  Third, the early stop is safe: when no later free root
+is left in r's component, the search from r fails without changing
+``match``, by the Edmonds-lemma argument above, so the whole mask's loop,
+which may still search from r, and the component's own loop, which stops
+at r, flip the same augmenting paths.
 """
 
 from __future__ import annotations
@@ -125,9 +143,14 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
     """Ascending matched edge ids of the realization whose bit e says whether
     edge e is present, looked up in ``g.mask_table`` and matched on a miss.
 
-    A graph with no mask table (more than ``graph._MASK_LIMIT`` edges) or a
-    mask outside ``[0, 2**g.m)`` raises ``ValueError``; the mask is checked
-    only on a miss, so a hit costs one dict lookup.
+    A miss on a connected mask runs the blossom; any other mask is split into
+    the connected component C of its highest set edge and the rest, each
+    matched through the table, and stores their union.
+
+    A graph with no mask table (more than ``graph._MASK_LIMIT`` edges), a
+    mask that is not an integer or a mask outside ``[0, 2**g.m)`` raises
+    ``ValueError``; the mask is checked only on a miss, so a hit costs one
+    dict lookup (and a float or bool equal to a stored mask finds it).
     """
     table = g.mask_table
     if table is None:
@@ -135,10 +158,32 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
                          f"(at most {_MASK_LIMIT} edges)")
     matched = table.get(mask)
     if matched is None:
+        # A bool is an int to Python, so True would alias mask 1.
+        if isinstance(mask, (bool, np.bool_)):
+            raise ValueError(f"masks must be integers, got the bool {mask!r}")
+        try:
+            mask = index(mask)
+        except TypeError:
+            raise ValueError(f"masks must be integers, got {mask!r}") from None
         if not 0 <= mask < 1 << g.m:
             raise ValueError(f"mask {mask} out of range for a graph with {g.m} edges")
-        selector = map(mask.__and__, g.lex_edges.bits)
-        matched = table[mask] = tuple(sorted(_matched_edges(g, selector)))
+        lex = g.lex_edges
+        touch = lex.touch
+        # Grow the component of the highest set edge, one frontier at a time.
+        comp = frontier = 1 << (mask.bit_length() - 1) if mask else 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= touch[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        if comp == mask:
+            matched = tuple(sorted(_matched_edges(g, map(mask.__and__, lex.bits))))
+        else:
+            matched = tuple(sorted(matched_by_mask(g, comp) + matched_by_mask(g, mask ^ comp)))
+        table[mask] = matched
     return matched
 
 

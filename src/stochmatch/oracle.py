@@ -5,11 +5,14 @@ weighting each by its probability, and runs the same deterministic maximum
 matching used everywhere else.  Matchings come from the graph's shared
 ``mask_table``, so a mask that ``estimate_q`` already matched on the same
 graph is looked up, not matched again, and the masks the oracle matches are
-kept there too.  Sums are Kahan-compensated; "exact" means exact to double
-precision, since the input probabilities are decimals.  The sums are kept in
-Python floats, which are the same IEEE doubles as numpy float64 scalars, and
-are updated in the same mask order with the same operations, so they give
-the same bits as per-element numpy sums at a fraction of the cost.
+kept there too.  The table also holds the component submasks a
+disconnected mask is split into (``matching.matched_by_mask``); in counting
+order those are smaller masks, already in the table, so only the connected
+masks run the blossom.  Sums are Kahan-compensated; "exact" means exact to
+double precision, since the input probabilities are decimals.  The sums are
+kept in Python floats, which are the same IEEE doubles as numpy float64
+scalars, and are updated in the same mask order with the same operations, so
+they give the same bits as per-element numpy sums at a fraction of the cost.
 """
 
 from __future__ import annotations

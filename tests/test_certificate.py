@@ -269,7 +269,7 @@ def test_x_support_and_exclusivity_invariants():
         for e in crucial:
             if x.values[e] == 1.0:
                 for w in g.endpoints(e):
-                    others = [d for _, d in g.adjacency[w] if d != e]
+                    others = [d for d in range(g.m) if d != e and w in g.endpoints(d)]
                     assert all(x.values[d] == 0.0 for d in others)
         # Deterministic per-run cap, valid while Pr-hat stays below 1 - eps^2.
         if np.all(probs <= 1 - eps**2):

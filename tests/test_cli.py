@@ -46,6 +46,16 @@ def test_decompose_json(capsys):
     assert len(payload["labels"]) == 2
 
 
+def test_decompose_an_edgeless_graph(capsys, tmp_path):
+    graph_file = tmp_path / "edgeless.txt"
+    graph_file.write_text("3 0\n")
+    code, out = _run(capsys, ["decompose", "--graph", str(graph_file)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["opt_hat"] == 0.0 and payload["labels"] == []
+    assert payload["c_v"] == payload["n_v"] == [0.0, 0.0, 0.0]
+
+
 def test_sparsify_members(capsys):
     code, out = _run(capsys, [
         "sparsify", "--family", "clique", "--params", '{"n": 4, "p": 1.0}',
@@ -247,6 +257,7 @@ def test_guard_errors_exit_2(capsys, tmp_path):
      "probability must be in (0, 1], got 2.0"),
     (["gen", "--family", "bipartite_random", "--params",
       '{"n1": 2, "n2": 3, "density": 7, "p": 0.5}'], "density must be in [0, 1], got 7.0"),
+    (["experiment", "--graph", "TMP/edgeless.txt"], "denominator mean must be positive"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
         "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",
@@ -254,7 +265,8 @@ def test_guard_errors_exit_2(capsys, tmp_path):
         "config_with_input_flags", "gen_without_a_graph", "config_epsilon_a_string",
         "config_q_samples_a_float", "config_seed_a_bool", "config_ratio_outer_one",
         "config_c_lambda_negative", "paper_mode_with_alpha", "n_fractional", "n_infinite",
-        "density_bool", "p_out_of_range_without_edges", "bipartite_density_above_one"])
+        "density_bool", "p_out_of_range_without_edges", "bipartite_density_above_one",
+        "experiment_edgeless_graph"])
 def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message):
     (tmp_path / "unknown_key.json").write_text('{"graph_family": "path", "nosuch": 1}')
     (tmp_path / "list.json").write_text('[1, 2]')
@@ -264,6 +276,7 @@ def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message
     (tmp_path / "seed_bool.json").write_text('{%s, "seed": true}' % graph)
     (tmp_path / "ratio_outer_one.json").write_text('{%s, "ratio_outer": 1}' % graph)
     (tmp_path / "c_lambda_negative.json").write_text('{%s, "c_lambda": -1.0}' % graph)
+    (tmp_path / "edgeless.txt").write_text("3 0\n")
     code = main([a.replace("TMP", str(tmp_path)) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -299,6 +312,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                                       "--config"},
     }
     assert sum(len(opts) for opts in flags.values()) == 79
+    # ``stochmatch --help`` lists each subcommand with its help line.
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    assert helps.keys() == flags.keys() and all(helps.values())
     # A flag that sets a config field has no default of its own, so an absent
     # flag leaves the field at ExperimentConfig's default.
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -66,11 +66,6 @@ def test_parse_strict_fields():
         StochasticGraph.from_text("3 1\n0 x 0.5\n")
 
 
-def test_adjacency_sorted():
-    g = StochasticGraph(4, [(0, 3, 0.5), (0, 1, 0.5), (0, 2, 0.5)])
-    assert [v for v, _ in g.adjacency[0]] == [1, 2, 3]
-
-
 def test_matching_validation():
     g = StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
     with pytest.raises(ValueError, match="matching"):
@@ -105,7 +100,10 @@ def test_lex_edges_list_each_edge_once_ascending():
     for key, e in lex.pair_id.items():
         assert g.endpoints(e) == divmod(key, g.n)
     assert lex.bits == [1 << 1, 1 << 0, 1 << 2]
+    # Edge 1 = (0, 1) shares an endpoint with both others, 0 and 2 share none.
+    assert lex.touch == [0b011, 0b111, 0b110]
     assert g.lex_edges is lex
     # Past the mask-table limit the edge bits would only be huge ints.
     long_path = StochasticGraph(64, [(i, i + 1, 0.5) for i in range(63)])
-    assert long_path.mask_table is None and long_path.lex_edges.bits is None
+    assert long_path.mask_table is None
+    assert long_path.lex_edges.bits is None and long_path.lex_edges.touch is None

@@ -367,6 +367,37 @@ def test_mask_path_equals_max_matching_on_every_mask():
         assert len(g.mask_table) == 1 << g.m
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_mask_path_equals_reference_on_disjoint_unions(n1, n2, seed):
+    # Two random graphs side by side, their vertex ids interleaved and their
+    # edge ids shuffled against vertex order: many masks are disconnected, so
+    # a miss matches them component by component through the table.
+    rng = np.random.default_rng(seed)
+    verts = [int(x) for x in rng.permutation(n1 + n2)]
+    pairs = [(part[i], part[j]) for part in (verts[:n1], verts[n1:])
+             for i in range(len(part)) for j in range(i + 1, len(part))]
+    rng.shuffle(pairs)
+    del pairs[int(rng.integers(0, min(12, len(pairs)) + 1)):]
+    g = StochasticGraph(n1 + n2, [(v, u, 0.5) if rng.random() < 0.5 else (u, v, 0.5)
+                                  for u, v in pairs])
+    assert g.mask_table == {}
+    for mask in range(1 << g.m):
+        ids = [e for e in range(g.m) if mask >> e & 1]
+        assert matched_by_mask(g, mask) == tuple(sorted(reference_max_matching(g, ids).edges))
+
+
+def test_disconnected_mask_stores_its_components():
+    # Edges 0 and 2 of the path 0-1-2-3 share no vertex.
+    g = path_graph(3)
+    assert matched_by_mask(g, 0b101) == (0, 2)
+    assert set(g.mask_table) == {0b101, 0b100, 0b001}
+
+
 @pytest.mark.parametrize("mask", [-1, 1 << 3, 1 << 10])
 def test_mask_outside_the_table_range_rejected(mask):
     g = path_graph(3)
@@ -374,6 +405,16 @@ def test_mask_outside_the_table_range_rejected(mask):
         matched_by_mask(g, mask)
     assert g.mask_table == {}
     assert matched_by_mask(g, (1 << 3) - 1) == (0, 2)
+
+
+@pytest.mark.parametrize("mask", [1.5, 5.0, np.float64(5.0), True, np.True_, "5", None])
+def test_non_integer_mask_rejected_on_a_miss(mask):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="masks must be integers"):
+        matched_by_mask(g, mask)
+    assert g.mask_table == {}
+    # numpy integers are integers.
+    assert matched_by_mask(g, np.int64(5)) == (0, 2)
 
 
 def test_mask_on_a_graph_without_a_mask_table_rejected():

@@ -115,6 +115,13 @@ MUTANTS = [
     ("kahan_compensation", "oracle.py",
      "comp[e] = (t - total[e]) - y", "comp[e] = 0.0",
      ["tests/test_oracle.py::test_exact_stats_bits_equal_the_numpy_element_reference"]),
+    # -- the mask table's split by connected components ------------------------
+    ("mask_component_leak", "matching.py",
+     "frontier = reach & mask & ~comp", "frontier = reach & ~comp",
+     [M + "test_mask_path_equals_reference_on_disjoint_unions"]),
+    ("mask_component_drop_rest", "matching.py",
+     "matched_by_mask(g, comp) + matched_by_mask(g, mask ^ comp)", "matched_by_mask(g, comp)",
+     [M + "test_mask_path_equals_reference_on_disjoint_unions"]),
     # -- the level-1 node ------------------------------------------------------
     ("level_one_disjointness_raise", "vim.py",
      "if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):", "if False:",
