@@ -254,7 +254,7 @@ class CertificateSizeReport:
 
 
 def certificate_size_report(runs: list[CertificateRun], epsilon: float,
-                            p_min: float = 1.0) -> CertificateSizeReport:
+                            p_min: float) -> CertificateSizeReport:
     """Aggregate a batch of pipeline runs into means with standard errors."""
     if len(runs) < 1:
         raise ValueError("need at least one run")

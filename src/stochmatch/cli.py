@@ -37,6 +37,7 @@ from .harness import (
     ExperimentConfig,
     independence_test,
     jsonify,
+    report_json,
     run_certificate_batch,
     run_f_property_batch,
     run_pipeline,
@@ -76,7 +77,7 @@ def _emit(args, payload):
         for key, value in sorted(_flatten(payload).items()):
             writer.writerow([key, json.dumps(value, default=jsonify)])
     else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, default=jsonify) + "\n")
+        sys.stdout.write(report_json(payload) + "\n")
 
 
 def _flatten(payload, prefix=""):

@@ -383,7 +383,7 @@ class ExperimentConfig:
                             if getattr(self, k) is not None})
 
     def sparsifier_R(self, tau_minus: float) -> int:
-        """The sparsifier width: ``R``, else ``default_R(tau_minus)`` under ``default_r_cap``."""
+        """The sparsifier width: ``R``, else ``default_R(tau_minus, default_r_cap)``."""
         return default_R(tau_minus, cap=self.default_r_cap) if self.R is None else self.R
 
 
@@ -422,9 +422,12 @@ class ExperimentReport:
     def fingerprint(self) -> str:
         """Digest of everything except wall-clock timings."""
         data = {k: v for k, v in self.to_dict().items() if k != "timings"}
-        return hashlib.sha256(
-            json.dumps(data, sort_keys=True, indent=2, default=jsonify).encode()
-        ).hexdigest()
+        return hashlib.sha256(report_json(data).encode()).hexdigest()
+
+
+def report_json(payload) -> str:
+    """Report and CLI payload JSON, the text a fingerprint digests."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=jsonify)
 
 
 def jsonify(obj):
@@ -460,6 +463,8 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         checks.append({"name": name, "status": status, "details": details})
 
     g = timer.run("graph", config.load_graph)
+    if not g.m:
+        raise ValueError(f"the graph has no edges (n = {g.n}); the pipeline needs at least one")
     stages["graph"] = {"n": g.n, "m": g.m, "p_min": g.p_min}
 
     est = timer.run("estimate_q", lambda: estimate_q(g, config.q_samples, config.seed))

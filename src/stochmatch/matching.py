@@ -111,17 +111,23 @@ def _selector(g: StochasticGraph, edge_set):
     m = g.m
     mask = bytearray(m)
     for e in edge_set:
-        # A bool is an int to Python, so True would alias edge 1.
-        if isinstance(e, (bool, np.bool_)):
-            raise ValueError(f"edge ids must be integers, got the bool {e!r}")
-        try:
-            e = index(e)
-        except TypeError:
-            raise ValueError(f"edge ids must be integers, got {e!r}") from None
-        if not 0 <= e < m:
-            raise ValueError(f"edge id {e} out of range for a graph with {m} edges")
-        mask[e] = 1
+        mask[_checked_int(e, "edge id", m, m)] = 1
     return np.frombuffer(mask, dtype=np.uint8)[ids].tobytes()
+
+
+def _checked_int(x, noun: str, stop: int, m: int) -> int:
+    """``x`` as an int in ``[0, stop)``, else a ``ValueError`` that names it as
+    a ``noun`` of a graph with ``m`` edges."""
+    # A bool is an int to Python, so True would alias 1.
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{noun}s must be integers, got the bool {x!r}")
+    try:
+        x = index(x)
+    except TypeError:
+        raise ValueError(f"{noun}s must be integers, got {x!r}") from None
+    if not 0 <= x < stop:
+        raise ValueError(f"{noun} {x} out of range for a graph with {m} edges")
+    return x
 
 
 def max_matching(g: StochasticGraph, edge_set=None) -> Matching:
@@ -158,15 +164,7 @@ def matched_by_mask(g: StochasticGraph, mask: int) -> tuple[int, ...]:
                          f"(at most {_MASK_LIMIT} edges)")
     matched = table.get(mask)
     if matched is None:
-        # A bool is an int to Python, so True would alias mask 1.
-        if isinstance(mask, (bool, np.bool_)):
-            raise ValueError(f"masks must be integers, got the bool {mask!r}")
-        try:
-            mask = index(mask)
-        except TypeError:
-            raise ValueError(f"masks must be integers, got {mask!r}") from None
-        if not 0 <= mask < 1 << g.m:
-            raise ValueError(f"mask {mask} out of range for a graph with {g.m} edges")
+        mask = _checked_int(mask, "mask", 1 << g.m, g.m)
         lex = g.lex_edges
         touch = lex.touch
         # Grow the component of the highest set edge, one frontier at a time.

@@ -140,17 +140,13 @@ class RandomStream:
         return self._gen.random(shape)
 
     def uniform_at(self, tail, locus=None) -> float:
-        h = self._h.copy()
-        h.update(tail if type(tail) is bytes else encode_key(tail))
-        pert = self._pert
-        if pert is not None and (locus is None or not pert[0](locus)):
-            h.update(pert[1])
-        return _U64_LE.unpack_from(h.digest())[0] / _U64
+        return self.uniforms_at((tail if type(tail) is bytes else encode_key(tail),),
+                                (locus,))[0]
 
     def uniforms_at(self, tails, loci) -> list[float]:
-        """``[uniform_at(t, l) for t, l in zip(tails, loci)]`` in one loop,
-        for tails given as ``encode_key`` bytes.  Only a perturbed stream
-        reads ``loci``, which must then run in step with ``tails``."""
+        """The value at ``key + tail`` for each ``encode_key`` bytes tail, in one
+        loop: the one scalar draw, of which ``uniform_at`` is a one-tail call.
+        Only a perturbed stream reads ``loci``, in step with ``tails``."""
         copy, unpack = self._h.copy, _U64_LE.unpack_from
         out = []
         append = out.append

@@ -28,7 +28,6 @@ __all__ = [
 
 BUILD_PURPOSE = "sparsify"
 EVAL_PURPOSE = "evaluate"
-DEFAULT_R_CAP = 10**6
 
 
 class SubgraphQ:
@@ -77,7 +76,7 @@ def build_q(g: StochasticGraph, R: int, seed) -> SubgraphQ:
     return SubgraphQ(g, R, t, build_purpose=stream.purpose or BUILD_PURPOSE)
 
 
-def default_R(tau_minus: float, cap: int = DEFAULT_R_CAP) -> int:
+def default_R(tau_minus: float, cap: int) -> int:
     """Paper-scale choice R = ceil(1 / (2 tau_minus)), guarded against overflow."""
     if not (0.0 < tau_minus < 1.0):
         raise ValueError(f"tau_minus must be in (0, 1), got {tau_minus}")

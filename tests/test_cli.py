@@ -3,16 +3,18 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
 
 import pytest
 
+from stochmatch import harness
 from stochmatch.cli import build_parser, main
 from stochmatch.decomposition import classify, estimate_q, threshold_schedule
 from stochmatch.generators import path
-from stochmatch.harness import ExperimentConfig, independence_test
+from stochmatch.harness import ExperimentConfig, independence_test, report_json
 from stochmatch.vim import VimEngine, VimParams
 
 
@@ -151,31 +153,63 @@ def test_certify_output(capsys):
     assert payload["y_valid"] is True
 
 
-def test_experiment_exit_code_and_fingerprint(capsys, tmp_path):
-    config = {
-        "graph_family": "path",
-        "graph_params": {"n": 3, "p": 0.5},
-        "epsilon": 0.3,
-        "seed": 3,
-        "q_samples": 3000,
-        "vim_runs": 40,
-        "cert_runs": 15,
-        "gamma_samples": 60,
-        "ratio_outer": 3,
-        "ratio_inner": 10,
-        "ratio_denom": 100,
-        "alpha": 2,
-        "depth": 2,
-    }
+_SMALL_EXPERIMENT = {
+    "graph_family": "path",
+    "graph_params": {"n": 3, "p": 0.5},
+    "epsilon": 0.3,
+    "seed": 3,
+    "q_samples": 3000,
+    "vim_runs": 40,
+    "cert_runs": 15,
+    "gamma_samples": 60,
+    "ratio_outer": 3,
+    "ratio_inner": 10,
+    "ratio_denom": 100,
+    "alpha": 2,
+    "depth": 2,
+}
+
+
+def _small_experiment_argv(tmp_path):
     config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps(config))
-    argv = ["experiment", "--config", str(config_file)]
+    config_file.write_text(json.dumps(_SMALL_EXPERIMENT))
+    return ["experiment", "--config", str(config_file)]
+
+
+def test_experiment_exit_code_and_fingerprint(capsys, tmp_path):
+    argv = _small_experiment_argv(tmp_path)
     code, out = _run(capsys, argv)
     payload = json.loads(out)
     assert code == 0, [c for c in payload["checks"] if c["status"] == "fail"]
     fingerprint = payload["fingerprint"]
     code2, out2 = _run(capsys, argv)
     assert json.loads(out2)["fingerprint"] == fingerprint
+
+
+def test_experiment_fingerprint_is_the_digest_of_the_printed_report(capsys, tmp_path):
+    # The printed report minus fingerprint and timings, re-encoded, is what
+    # the fingerprint digests, so a reader can check it from stdout alone.
+    code, out = _run(capsys, _small_experiment_argv(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert out == report_json(payload) + "\n"
+    fingerprint = payload.pop("fingerprint")
+    del payload["timings"]
+    assert hashlib.sha256(report_json(payload).encode()).hexdigest() == fingerprint
+
+
+def test_experiment_refuses_an_edgeless_graph_before_any_stage(capsys, tmp_path, monkeypatch):
+    def estimate_q_not_reached(*args, **kwargs):
+        raise AssertionError("estimate_q ran on an edgeless graph")
+
+    monkeypatch.setattr(harness, "estimate_q", estimate_q_not_reached)
+    graph_file = tmp_path / "edgeless.txt"
+    graph_file.write_text("3 0\n")
+    code = main(["experiment", "--graph", str(graph_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the graph has no edges (n = 3); the pipeline needs at least one\n"
 
 
 def test_csv_output(capsys):
@@ -257,7 +291,7 @@ def test_guard_errors_exit_2(capsys, tmp_path):
      "probability must be in (0, 1], got 2.0"),
     (["gen", "--family", "bipartite_random", "--params",
       '{"n1": 2, "n2": 3, "density": 7, "p": 0.5}'], "density must be in [0, 1], got 7.0"),
-    (["experiment", "--graph", "TMP/edgeless.txt"], "denominator mean must be positive"),
+    (["experiment", "--graph", "TMP/edgeless.txt"], "the graph has no edges"),
 ], ids=["missing_param", "unknown_family", "params_not_a_dict", "walk_cap_0",
         "oracle_missing_graph", "certify_missing_graph", "vim_missing_graph",
         "experiment_missing_config", "experiment_missing_graph", "oracle_graph_is_a_directory",

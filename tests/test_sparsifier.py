@@ -82,10 +82,11 @@ def test_degree_bound_and_t_sums_on_corpus():
 
 
 def test_default_R():
-    assert default_R(0.05) == 10
-    assert default_R(0.5) == 1
+    assert default_R(0.05, cap=4096) == 10
+    assert default_R(0.5, cap=4096) == 1
+    assert default_R(1 / 8192, cap=4096) == 4096
     with pytest.raises(ParameterOverflowError, match="override"):
-        default_R(1e-9, cap=10**6)
+        default_R(1 / 8194, cap=4096)
 
 
 def test_default_R_overflow_names_the_real_overrides():

@@ -61,7 +61,8 @@ MUTANTS = [
       "tests/test_randomness.py::test_int_keys_join_to_the_full_key"]),
     ("uniforms_at_perturbation", "randomness.py",
      "h.update(suffix)", "pass",
-     ["tests/test_randomness.py::test_uniforms_at_equals_one_draw_at_a_time"]),
+     ["tests/test_randomness.py::test_uniforms_at_equals_one_draw_at_a_time",
+      "tests/test_randomness.py::test_perturbed_prefix_resamples_outside_the_kept_region"]),
     ("edge_tail_prefix", "vim.py",
      "encode_key((*prefix, e))", "encode_key((e,))",
      [V + "test_outputs_pinned_against_randomness_format_drift"]),
@@ -122,6 +123,10 @@ MUTANTS = [
     ("mask_component_drop_rest", "matching.py",
      "matched_by_mask(g, comp) + matched_by_mask(g, mask ^ comp)", "matched_by_mask(g, comp)",
      [M + "test_mask_path_equals_reference_on_disjoint_unions"]),
+    # -- the one integer-input check of edge ids and masks ---------------------
+    ("int_input_bool", "matching.py",
+     "if isinstance(x, (bool, np.bool_)):", "if False:",
+     [M + "test_bool_edge_ids_rejected", M + "test_non_integer_mask_rejected_on_a_miss"]),
     # -- the level-1 node ------------------------------------------------------
     ("level_one_disjointness_raise", "vim.py",
      "if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):", "if False:",
