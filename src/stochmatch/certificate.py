@@ -6,9 +6,10 @@ probability that it is usable: realized, with both endpoints unmatched, which
 requires the endpoints to be far apart in the crucial graph so those events
 are independent.  ``compute_f`` returns f as one array over the edges:
 f_e = t_e / R, the edge's matching multiplicity in the sparsifier over R, on
-non-crucial edges at or below the 1/sqrt(eps R) cap, and 0 elsewhere.  The
-scaled assignment y zeroes out vertices whose sum overshoots 1 + epsilon,
-making it a valid fractional matching per run.
+non-crucial edges at or below the 1/sqrt(eps R) cap, and 0 elsewhere; eps is
+the classification's.  ``build_x`` computes f itself from its Q and
+classification.  The scaled assignment y zeroes out vertices whose sum
+overshoots 1 + epsilon, making it a valid fractional matching per run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .decomposition import EdgeClassification
 from .errors import DivisionGuardError, SubsetCapError
 from .graph import Realization, StochasticGraph
 from .sparsifier import SubgraphQ
-from .stats import check_epsilon
 
 __all__ = [
     "FractionalAssignment",
@@ -45,11 +45,13 @@ _PROB_FLOOR = 1e-6
 _SUBSET_CAP = 500_000
 
 
-def compute_f(q: SubgraphQ, classification: EdgeClassification, epsilon: float) -> np.ndarray:
+def compute_f(q: SubgraphQ, classification: EdgeClassification) -> np.ndarray:
     """Per-edge f: t_e / R on non-crucial edges whose ratio is positive and at
-    most the 1/sqrt(eps R) cap, and 0 on every other edge."""
-    check_epsilon(epsilon)
-    cap = 1.0 / math.sqrt(epsilon * q.R)
+    most the 1/sqrt(eps R) cap, and 0 on every other edge.  Q must be built
+    on the classification's graph."""
+    if q.parent is not classification.graph:
+        raise ValueError("q must be built on the classification's graph")
+    cap = 1.0 / math.sqrt(classification.epsilon * q.R)
     f = np.zeros(q.parent.m)
     edges = np.asarray(classification.noncrucial_edges, dtype=np.int64)
     ratio = q.t[edges] / q.R
@@ -85,17 +87,20 @@ def build_x(
     z_edges,
     realization: Realization,
     classification: EdgeClassification,
-    f: np.ndarray,
     x_probs,
 ) -> FractionalAssignment:
     """Assemble the expected fractional matching for one run.
 
-    ``z_edges`` is the crucial matching (edge ids), ``realization`` the
-    realization of the whole graph, ``f`` the per-edge array of
-    ``compute_f``, ``x_probs`` the per-vertex estimates of
-    Pr[v is matched in the crucial matching].
+    ``z_edges`` is the crucial matching (edge ids), ``realization`` a
+    realization of Q's graph, and ``x_probs`` the per-vertex estimates of
+    Pr[v is matched in the crucial matching].  The per-edge f is
+    ``compute_f(q, classification)``, which also checks that Q is built on
+    the classification's graph.
     """
     g = q.parent
+    if realization.parent is not g:
+        raise ValueError("the realization must be of q's graph")
+    f = compute_f(q, classification)
     z_edges = frozenset(int(e) for e in z_edges)
     x_probs = np.asarray(x_probs, dtype=float)
     values = np.zeros(g.m)
@@ -298,24 +303,25 @@ class FPropertyReport:
 
 
 def test_f_properties(
-    g: StochasticGraph,
     classification: EdgeClassification,
-    epsilon: float,
     batch: list[SubgraphQ],
     *,
     q_se=None,
 ) -> FPropertyReport:
     """Check the f bounds over a batch of sparsifier builds.
 
-    Per-edge: mean f within [(1 - eps) q - 3 sigma, q + 3 sigma].  Per run and
-    vertex: the f sum is at most 1, up to float rounding.
+    Per-edge: mean f within [(1 - eps) q - 3 sigma, q + 3 sigma], with eps,
+    q and the graph those of the classification.  Per run and vertex: the f
+    sum is at most 1, up to float rounding.
     """
     if not batch:
         raise ValueError("need at least one sparsifier build")
+    g = classification.graph
+    epsilon = classification.epsilon
     n_runs = len(batch)
     q_ref = classification.q
     q_se = np.zeros(g.m) if q_se is None else np.asarray(q_se, dtype=float)
-    fvals = [compute_f(qq, classification, epsilon) for qq in batch]
+    fvals = [compute_f(qq, classification) for qq in batch]
 
     per_edge = []
     for e in classification.noncrucial_edges:

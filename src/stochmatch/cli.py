@@ -158,7 +158,7 @@ def _cmd_vim(args, config):
     _est, _schedule, cls = _decompose(args, config, g)
     params = config.vim_params()
     engine = VimEngine(cls, params, config.seed)
-    report = independence_test(g, cls, engine, args.runs)
+    report = independence_test(engine, args.runs)
     # E|Z_r| is half the summed per-vertex matched frequency at level r.
     _emit(args, {
         "per_vertex_match_freq": report.match_freq,
@@ -177,9 +177,9 @@ def _cmd_certify(args, config):
     est, schedule, cls = _decompose(args, config, g)
     R = config.sparsifier_R(schedule.tau_minus)
     engine = VimEngine(cls, config.vim_params(), config.seed)
-    records = run_certificate_batch(g, cls, engine, R, args.runs, config.seed)
+    records = run_certificate_batch(engine, R, args.runs, config.seed)
     rep = certificate_size_report(records, config.epsilon, p_min=g.p_min)
-    freport = run_f_property_batch(g, cls, R, args.runs, config.seed, q_se=est.se_q)
+    freport = run_f_property_batch(cls, R, args.runs, config.seed, q_se=est.se_q)
     _emit(args, {
         "mean_x": rep.mean_x,
         "mean_y": rep.mean_y,

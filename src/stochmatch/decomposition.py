@@ -302,6 +302,7 @@ def classify(
     c_lambda > 0; the paper-scale form epsilon^-20 * log2(delta_C), which
     ignores c_lambda, sits behind an overflow guard.
     """
+    check_epsilon(epsilon)
     if not (tau_minus < tau_plus):
         raise ValueError(f"need tau_minus < tau_plus, got ({tau_minus}, {tau_plus})")
     q = np.asarray(q, dtype=float)

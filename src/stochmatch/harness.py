@@ -25,7 +25,6 @@ from .certificate import (
     build_y,
     certificate_size_report,
     check_blossom,
-    compute_f,
     test_f_properties,
 )
 from .decomposition import check_c_lambda, classify, estimate_q, threshold_schedule
@@ -192,20 +191,18 @@ class IndependenceReport:
         return all(c["status"] == "control_ok" for c in self.controls)
 
 
-def independence_test(
-    g: StochasticGraph,
-    classification,
-    engine: VimEngine,
-    samples: int,
-) -> IndependenceReport:
+def independence_test(engine: VimEngine, samples: int) -> IndependenceReport:
     """Covariance of matched indicators for far vertex pairs, plus controls.
 
     Far pairs (crucial-graph distance at least lambda) should show covariance
     within three standard errors of zero; endpoints of one crucial edge are
-    the positively correlated negative control.  The samples are the
+    the positively correlated negative control.  The classification, its
+    graph and lambda are the engine's (``engine.cls``).  The samples are the
     engine's ``matched_indicators`` at its full depth, so its gamma tables
     can be shared with the caller.
     """
+    classification = engine.cls
+    g = classification.graph
     lam = classification.lam
     X = engine.matched_indicators(("ind",), samples, engine.params.depth)
 
@@ -236,19 +233,17 @@ def independence_test(
 # -- certificate batch ---------------------------------------------------------
 
 
-def run_certificate_batch(
-    g: StochasticGraph,
-    classification,
-    engine: VimEngine,
-    R: int,
-    runs: int,
-    seed: int,
-) -> list[CertificateRun]:
+def run_certificate_batch(engine: VimEngine, R: int, runs: int, seed: int) -> list[CertificateRun]:
     """Full per-run certificate pipeline: Q, realization, Z, f, x, y, checks.
 
-    Blossom inequalities are checked on connected sets of up to
-    min(ceil(1/eps), 9) vertices, the enumeration guard of ``check_blossom``.
+    The classification, its graph and eps are the engine's (``engine.cls``);
+    Z is the engine's run at its full depth, and x divides by its gamma
+    table at that depth.  Blossom inequalities are checked on connected sets
+    of up to min(ceil(1/eps), 9) vertices, the enumeration guard of
+    ``check_blossom``.
     """
+    classification = engine.cls
+    g = classification.graph
     eps = classification.epsilon
     depth = engine.params.depth
     x_probs = engine.gamma_table(depth)
@@ -262,8 +257,7 @@ def run_certificate_batch(
         realization = sample_realization(g, eval_stream.child(s))
         creal = frozenset(e for e in realization.edge_ids() if e in crucial)
         z = engine.run(depth, creal, key=("cert", s))
-        f = compute_f(q, classification, eps)
-        x = build_x(q, z, realization, classification, f, x_probs)
+        x = build_x(q, z, realization, classification, x_probs)
         y = build_y(x, eps)
         mu_q = mu(g, Realization(g, realization.present & q.member))
         blossom = check_blossom(y, max_size=blossom_max)
@@ -284,12 +278,13 @@ def run_certificate_batch(
     return records
 
 
-def run_f_property_batch(g: StochasticGraph, classification, R: int, runs: int,
-                         seed: int, *, q_se=None) -> FPropertyReport:
-    """``test_f_properties`` over ``runs`` sparsifier builds keyed ("fprop", s)."""
+def run_f_property_batch(classification, R: int, runs: int, seed: int,
+                         *, q_se=None) -> FPropertyReport:
+    """``test_f_properties`` over ``runs`` sparsifier builds of the
+    classification's graph, keyed ("fprop", s)."""
     stream = RandomStream(seed, ("fprop",))
-    batch = [build_q(g, R, stream.child(s)) for s in range(runs)]
-    return test_f_properties(g, classification, classification.epsilon, batch, q_se=q_se)
+    batch = [build_q(classification.graph, R, stream.child(s)) for s in range(runs)]
+    return test_f_properties(classification, batch, q_se=q_se)
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -606,9 +601,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
 
     records = timer.run(
         "certificate",
-        lambda: run_certificate_batch(
-            g, classification, engine, R, config.cert_runs, config.seed
-        ),
+        lambda: run_certificate_batch(engine, R, config.cert_runs, config.seed),
     )
     size_report = certificate_size_report(records, config.epsilon, p_min=g.p_min)
     stages["certificate"] = {
@@ -641,7 +634,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     freport = timer.run(
         "f_properties",
         lambda: run_f_property_batch(
-            g, classification, R, min(config.cert_runs, 40), config.seed,
+            classification, R, min(config.cert_runs, 40), config.seed,
             q_se=est.se_q if oracle is None else None,
         ),
     )

@@ -66,19 +66,17 @@ def lift_cap(epsilon: float, p_min: float) -> int:
     return max(1, math.ceil((1.0 / p_min) * math.log(1.0 / epsilon)))
 
 
-def lift(qH: SubgraphQ, contraction: Contraction, epsilon: float,
-         p_min: float | None = None) -> tuple[int, ...]:
+def lift(qH: SubgraphQ, contraction: Contraction, epsilon: float) -> tuple[int, ...]:
     """Original-graph edge ids backing each member edge of the merged sparsifier.
 
     For each member edge, the lowest-id origin edges are picked (the paper
     allows an arbitrary choice; lowest ids keep it reproducible), up to
-    min(cap, all of them).
+    min(cap, all of them), with the cap ``lift_cap`` of the original graph's
+    p_min.
     """
     if qH.parent is not contraction.merged:
         raise ValueError("qH must be built on the contraction's merged graph")
-    if p_min is None:
-        p_min = contraction.original.p_min
-    cap = lift_cap(epsilon, p_min)
+    cap = lift_cap(epsilon, contraction.original.p_min)
     picked: set[int] = set()
     for e in qH.member_edges():
         ids = contraction.origin[e]

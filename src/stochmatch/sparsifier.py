@@ -99,8 +99,6 @@ def build_baseline_iterative(g: StochasticGraph, R: int) -> SubgraphQ:
         if not remaining:
             break
         matched = max_matching(g, remaining).edges
-        if not matched:
-            break
         for e in matched:
             t[e] = 1
             remaining.discard(e)

@@ -174,7 +174,7 @@ def test_criterion_06_vim_independence():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.1, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=1500)
-    rep = independence_test(g, cls, VimEngine(cls, params, seed=21), samples=10_000)
+    rep = independence_test(VimEngine(cls, params, seed=21), samples=10_000)
     far_ok = bool(rep.far_pairs) and rep.far_ok
     controls_ok = bool(rep.controls) and rep.controls_ok
     worst_cov = max((abs(p["cov"]) for p in rep.far_pairs), default=0.0)
@@ -225,7 +225,7 @@ def certificate_instance():
 
 def test_criterion_08_certificate_validity(certificate_instance):
     g, stats, cls, engine = certificate_instance
-    records = run_certificate_batch(g, cls, engine, R=16, runs=400, seed=43)
+    records = run_certificate_batch(engine, R=16, runs=400, seed=43)
     report = certificate_size_report(records, cls.epsilon, p_min=g.p_min)
     y_ok = report.y_valid_all
     blossom_ok = report.blossom_ok_all
@@ -245,7 +245,7 @@ def test_criterion_08_certificate_validity(certificate_instance):
 def test_criterion_09_f_properties(certificate_instance):
     g, stats, cls, engine = certificate_instance
     batch = [build_q(g, R=16, seed=s) for s in range(400)]
-    report = f_property_checks(g, cls, cls.epsilon, batch, q_se=np.zeros(g.m))
+    report = f_property_checks(cls, batch, q_se=np.zeros(g.m))
     conclude(
         9, "f properties", report.vertex_sum_ok and report.edges_ok,
         f"{len(batch)} builds: per-run vertex sums exact, "

@@ -36,7 +36,7 @@ def _manual_q(g, t, R):
 def test_compute_f_crucial_edges_zero():
     g, cls = _cls_path2()
     q = _manual_q(g, [3, 1], R=4)
-    f = compute_f(q, cls, epsilon=0.25)
+    f = compute_f(q, cls)
     assert f[0] == 0.0  # crucial
     assert f[1] == 0.25
 
@@ -46,7 +46,7 @@ def test_compute_f_cap_arithmetic():
     g = StochasticGraph(4, [(0, 1, 0.5), (2, 3, 0.5)])
     cls = classify(g, [0.01, 0.01], tau_minus=0.05, tau_plus=0.5, epsilon=0.25)
     q = _manual_q(g, [2, 30], R=100)
-    f = compute_f(q, cls, epsilon=0.25)
+    f = compute_f(q, cls)
     assert f[0] == pytest.approx(0.02)
     assert f[1] == 0.0
 
@@ -55,7 +55,7 @@ def test_build_x_crucial_in_z_and_q():
     g, cls = _cls_path2()
     q = _manual_q(g, [2, 0], R=4)
     realization = Realization(g, [True, False])
-    x = build_x(q, [0], realization, cls, compute_f(q, cls, 0.25), np.zeros(g.n))
+    x = build_x(q, [0], realization, cls, np.zeros(g.n))
     assert x.values[0] == 1.0
     assert x.values[1] == 0.0
 
@@ -65,11 +65,10 @@ def test_build_x_noncrucial_needs_realization():
     g = StochasticGraph(4, [(0, 1, 0.5), (2, 3, 0.5)])
     cls = classify(g, [0.9, 0.01], tau_minus=0.05, tau_plus=0.5, epsilon=0.25)
     q = _manual_q(g, [1, 1], R=5)
-    f = compute_f(q, cls, 0.25)
-    assert f[1] == pytest.approx(0.2)
-    x = build_x(q, [], Realization(g, [True, True]), cls, f, np.zeros(g.n))
+    assert compute_f(q, cls)[1] == pytest.approx(0.2)
+    x = build_x(q, [], Realization(g, [True, True]), cls, np.zeros(g.n))
     assert x.values[1] == pytest.approx(0.4)
-    x0 = build_x(q, [], Realization(g, [True, False]), cls, f, np.zeros(g.n))
+    x0 = build_x(q, [], Realization(g, [True, False]), cls, np.zeros(g.n))
     assert x0.values[1] == 0.0
 
 
@@ -77,8 +76,7 @@ def test_build_x_excludes_z_endpoints():
     g = StochasticGraph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9)])
     cls = classify(g, [0.01, 0.01, 0.9], tau_minus=0.05, tau_plus=0.5, epsilon=0.25)
     q = _manual_q(g, [1, 1, 2], R=5)
-    f = compute_f(q, cls, 0.25)
-    x = build_x(q, [2], Realization(g, [True, True, True]), cls, f, np.zeros(g.n))
+    x = build_x(q, [2], Realization(g, [True, True, True]), cls, np.zeros(g.n))
     # Edge 1 touches vertex 2 which is matched by Z; edge 0 is free.
     assert x.values[1] == 0.0
     assert x.values[0] > 0.0
@@ -91,7 +89,23 @@ def test_build_x_division_guard():
     probs = np.zeros(g.n)
     probs[2] = 1.0
     with pytest.raises(DivisionGuardError):
-        build_x(q, [], Realization(g, [True, True]), cls, compute_f(q, cls, 0.25), probs)
+        build_x(q, [], Realization(g, [True, True]), cls, probs)
+
+
+def test_f_and_x_refuse_inputs_of_another_graph():
+    # An equal graph that is another object: q.t and realization.present
+    # index its edges, not the classification's.
+    g, cls = _cls_path2()
+    other = StochasticGraph(g.n, [(*g.endpoints(e), float(g.ps[e])) for e in range(g.m)])
+    q = _manual_q(g, [2, 1], R=4)
+    with pytest.raises(ValueError, match="classification's graph"):
+        compute_f(_manual_q(other, [2, 1], R=4), cls)
+    with pytest.raises(ValueError, match="classification's graph"):
+        build_x(_manual_q(other, [2, 1], R=4), [], Realization(other, [True, True]), cls,
+                np.zeros(g.n))
+    with pytest.raises(ValueError, match="q's graph"):
+        build_x(q, [], Realization(other, [True, True]), cls, np.zeros(g.n))
+    assert compute_f(q, cls).tolist() == [0.0, 0.25]
 
 
 def test_build_y_scaling_and_zeroing():
@@ -200,7 +214,7 @@ def test_f_property_checks_on_small_instance():
     cls = classify(g, stats.q, tau_minus=0.5, tau_plus=0.8, epsilon=0.25)
     assert cls.noncrucial_edges == (1,)
     batch = [build_q(g, R=8, seed=s) for s in range(300)]
-    report = run_f_property_checks(g, cls, 0.25, batch)
+    report = run_f_property_checks(cls, batch)
     assert report.vertex_sum_ok
     assert report.edges_ok
 
@@ -209,7 +223,7 @@ def test_f_all_crucial_vacuous():
     g, cls = _cls_path2()
     cls_all = classify(g, [0.9, 0.9], tau_minus=0.05, tau_plus=0.5, epsilon=0.25)
     batch = [build_q(g, R=4, seed=s) for s in range(20)]
-    report = run_f_property_checks(g, cls_all, 0.25, batch)
+    report = run_f_property_checks(cls_all, batch)
     assert report.per_edge == []
     assert report.vertex_sum_ok
 
@@ -220,7 +234,7 @@ def test_f_vertex_sums_never_exceed_one():
         cls = classify(g, stats.q, tau_minus=0.2, tau_plus=0.5, epsilon=0.25)
         for seed in range(10):
             q = build_q(g, R=6, seed=seed)
-            f = compute_f(q, cls, 0.25)
+            f = compute_f(q, cls)
             assert np.all(g.vertex_sums(f) <= 1.0 + 1e-12)
 
 
@@ -233,11 +247,11 @@ def test_f_property_checks_fail_on_vertex_sums_over_one(monkeypatch):
     g = StochasticGraph(4, [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.9)])
     cls = classify(g, exact_stats(g).q, tau_minus=0.1, tau_plus=0.5, epsilon=0.3)
     batch = [build_q(g, R=16, seed=s) for s in range(40)]
-    assert run_f_property_checks(g, cls, 0.3, batch).vertex_sum_ok
+    assert run_f_property_checks(cls, batch).vertex_sum_ok
     monkeypatch.setattr(certificate, "compute_f", lambda *args: 10.0 * compute_f(*args))
-    assert max(g.vertex_sums(certificate.compute_f(q, cls, 0.3)).max() for q in batch) == 1.25
+    assert max(g.vertex_sums(certificate.compute_f(q, cls)).max() for q in batch) == 1.25
     assert all(g.vertex_sums(q.t).max() <= q.R for q in batch)
-    assert not run_f_property_checks(g, cls, 0.3, batch).vertex_sum_ok
+    assert not run_f_property_checks(cls, batch).vertex_sum_ok
 
 
 def test_x_support_and_exclusivity_invariants():
@@ -262,8 +276,7 @@ def test_x_support_and_exclusivity_invariants():
         real = sample_realization(g, RandomStream(33, ("xinv",)).child(s))
         creal = frozenset(e for e in real.edge_ids() if e in crucial)
         z = engine.run(2, creal, key=("xinv", s))
-        f = compute_f(q, cls, eps)
-        x = build_x(q, z, real, cls, f, probs)
+        x = build_x(q, z, real, cls, probs)
         for e in x.support():
             assert q.member[e] and real.present[e]
         for e in crucial:
@@ -281,11 +294,9 @@ def test_crucial_only_x_equals_z_when_q_covers():
     g = StochasticGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     cls = classify(g, [0.9, 0.9], tau_minus=0.05, tau_plus=0.5, epsilon=0.3)
     q = _manual_q(g, [1, 1], R=1)
-    x = build_x(q, [0, 1], Realization(g, [True, True]), cls,
-                compute_f(q, cls, 0.3), np.zeros(g.n))
+    x = build_x(q, [0, 1], Realization(g, [True, True]), cls, np.zeros(g.n))
     assert x.size == 2.0
     # Empty realization: nothing survives.
-    x0 = build_x(q, [], Realization(g, [False, False]), cls,
-                 compute_f(q, cls, 0.3), np.zeros(g.n))
+    x0 = build_x(q, [], Realization(g, [False, False]), cls, np.zeros(g.n))
     assert x0.size == 0.0
     assert build_y(x0, 0.3).size == 0.0

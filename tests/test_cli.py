@@ -15,6 +15,7 @@ from stochmatch.cli import build_parser, main
 from stochmatch.decomposition import classify, estimate_q, threshold_schedule
 from stochmatch.generators import path
 from stochmatch.harness import ExperimentConfig, independence_test, report_json
+from stochmatch.sparsifier import build_baseline_iterative
 from stochmatch.vim import VimEngine, VimParams
 
 
@@ -69,6 +70,18 @@ def test_sparsify_members(capsys):
     assert len(payload["members"]) == 2
 
 
+def test_sparsify_baseline_iterative_prints_the_baseline(capsys):
+    code, out = _run(capsys, [
+        "sparsify", "--family", "path", "--params", '{"n": 5, "p": 0.5}',
+        "--R", "2", "--baseline", "iterative",
+    ])
+    assert code == 0
+    q = build_baseline_iterative(path(5, 0.5), 2)
+    assert json.loads(out) == {"R": 2, "members": q.member_edges(), "t": q.t.tolist(),
+                               "max_degree": q.max_member_degree()}
+    assert q.member_edges() == [0, 1, 2, 3]
+
+
 def test_contract_output(capsys):
     code, out = _run(capsys, [
         "contract", "--family", "clique", "--params", '{"n": 4, "p": 0.5}',
@@ -103,7 +116,7 @@ def test_vim_prints_the_independence_report(capsys):
     schedule = threshold_schedule(est.q_hat, est.opt_hat, 0.3, g.p_min)
     cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, 0.3)
     params = VimParams(epsilon=0.3, alpha=2, depth=1, walk_cap=3, gamma_samples=50)
-    report = independence_test(g, cls, VimEngine(cls, params, 0), 20)
+    report = independence_test(VimEngine(cls, params, 0), 20)
     assert payload["per_vertex_match_freq"] == report.match_freq
     assert payload["far_pairs"] == report.far_pairs
     assert payload["controls"] == report.controls

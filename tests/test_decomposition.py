@@ -159,6 +159,17 @@ def test_schedule_explicit_levels_example():
     assert all(lab == CRUCIAL for lab in cls.labels)
 
 
+def test_schedule_explicit_levels_continue_at_the_last_ratio():
+    # Levels 0.8, 0.4 run out while both buckets are heavy, so the schedule
+    # goes on at the last ratio 0.5: 0.2, then 0.1, where the bucket is light.
+    q = [0.5, 0.3, 0.15]
+    res = threshold_schedule(q, opt=1.0, epsilon=0.2, levels=[0.8, 0.4])
+    assert res.j == 3
+    assert res.tau_plus == 0.4 * 0.5
+    assert res.tau_minus == 0.4 * 0.5 * 0.5
+    assert res.bucket_masses == pytest.approx((0.5, 0.3, 0.15))
+
+
 def test_schedule_first_bucket_light():
     # Huge epsilon: even the first bucket qualifies.
     q = [0.05, 0.04]

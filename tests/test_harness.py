@@ -207,7 +207,7 @@ def test_independence_two_far_components():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.05, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=150)
-    rep = independence_test(g, cls, VimEngine(cls, params, seed=6), samples=3000)
+    rep = independence_test(VimEngine(cls, params, seed=6), samples=3000)
     assert rep.far_pairs, "cross-component pairs must qualify"
     assert rep.far_ok
     assert rep.controls_ok
@@ -218,7 +218,7 @@ def test_independence_no_pairs_notice():
     stats = exact_stats(g)
     cls = classify(g, stats.q, tau_minus=0.05, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=1, depth=1, gamma_samples=50)
-    rep = independence_test(g, cls, VimEngine(cls, params, seed=0), samples=200)
+    rep = independence_test(VimEngine(cls, params, seed=0), samples=200)
     assert rep.notice is not None
 
 
@@ -278,6 +278,17 @@ def test_pipeline_paper_mode_refuses():
     config = _small_config(mode="paper", epsilon=0.1, alpha=None, depth=None)
     with pytest.raises(ParameterOverflowError):
         run_pipeline(config)
+
+
+def test_pipeline_paper_mode_takes_vim_params_from_epsilon():
+    # At epsilon = 0.9 the paper-scale constants pass their guards; t0 = 0.99
+    # keeps the paper-shaped schedule off its underflow guard.
+    config = _small_config(mode="paper", epsilon=0.9, t0=0.99, alpha=None, depth=None)
+    report = run_pipeline(config)
+    vim_stage = report.stages["vim"]
+    assert (vim_stage["alpha"], vim_stage["depth"], vim_stage["walk_cap"]) == (1, 3, 2)
+    paper = [c for c in report.checks if c["name"] == "paper_mode"]
+    assert [c["status"] for c in paper] == ["info"]
 
 
 def test_config_validation():
@@ -353,7 +364,7 @@ def test_certificate_crucial_mass_tracks_z():
     cls = classify(g, stats.q, tau_minus=0.1, tau_plus=0.5, epsilon=0.3)
     engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=3, depth=2,
                                       gamma_samples=200), seed=71)
-    records = run_certificate_batch(g, cls, engine, R=16, runs=200, seed=72)
+    records = run_certificate_batch(engine, R=16, runs=200, seed=72)
     xc = np.array([r.x_crucial for r in records])
     zs = np.array([r.z_size for r in records], dtype=float)
     se = 3 * math.sqrt(np.var(xc) / len(xc) + np.var(zs) / len(zs))

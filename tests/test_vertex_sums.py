@@ -61,7 +61,7 @@ def test_compute_f_equals_the_edge_loop():
         cls = classify(g, rng.random(g.m), tau_minus=0.5, tau_plus=0.8, epsilon=0.25)
         for R, seed in ((1, 0), (6, 1), (6, 2), (40, 3)):
             q = build_q(g, R=R, seed=seed)
-            f = compute_f(q, cls, 0.25)
+            f = compute_f(q, cls)
             assert np.array_equal(f, _loop_f(q, cls, 0.25))
             capped += sum(1 for e in cls.noncrucial_edges if q.t[e] > 0 and f[e] == 0.0)
     assert capped > 0  # the cap branch ran
@@ -79,15 +79,13 @@ def test_binomial_se_on_arrays_equals_the_scalar_formula():
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 1.5, math.nan])
 def test_each_epsilon_check_refuses_values_outside_zero_one(epsilon):
     g = path_graph(2)
-    cls = classify(g, [0.5, 0.5], tau_minus=0.4, tau_plus=0.6, epsilon=0.25)
-    q = build_q(g, R=2, seed=0)
     checks = [
         lambda: check_epsilon(epsilon),
         lambda: VimParams(epsilon=epsilon),
         lambda: ExperimentConfig(epsilon=epsilon),
         lambda: mis_round_budget(3, epsilon),
         lambda: threshold_schedule([0.5, 0.5], 1.0, epsilon),
-        lambda: compute_f(q, cls, epsilon),
+        lambda: classify(g, [0.5, 0.5], tau_minus=0.4, tau_plus=0.6, epsilon=epsilon),
         lambda: contract(g, epsilon, 1.0, 0),
     ]
     message = re.escape(f"epsilon must be in (0, 1), got {epsilon}")

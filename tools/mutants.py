@@ -79,6 +79,12 @@ MUTANTS = [
     ("f_vertex_sum", "certificate.py",
      "g.vertex_sums(fv) <= 1.0 + 1e-12", "g.vertex_sums(fv) <= 2.0",
      ["tests/test_certificate.py::test_f_property_checks_fail_on_vertex_sums_over_one"]),
+    ("f_graph_agreement", "certificate.py",
+     "if q.parent is not classification.graph:", "if False:",
+     ["tests/test_certificate.py::test_f_and_x_refuse_inputs_of_another_graph"]),
+    ("x_realization_graph", "certificate.py",
+     "if realization.parent is not g:", "if False:",
+     ["tests/test_certificate.py::test_f_and_x_refuse_inputs_of_another_graph"]),
     # -- earlier hand-made mutants, now repeatable -----------------------------
     ("luby_tie_rule", "mis.py",
      "(rec[2] is not None and not p < rec[2])", "(rec[2] is not None and p > rec[2])",
