@@ -27,6 +27,17 @@ last step of a walk without pushing it (no cover-count updates, and the
 orientation rejects half the steps first), and collects walks as tuples,
 sorts them, and only then makes them ``Hyperwalk`` values.
 
+A node returns slot 0's matching, which lies in its input realization
+``creal``; at level 1 it is the chosen steps (e, 0), which exist only for
+the live edges of ``creal``, those with both ends outside
+``saturated_set(1)``.  So an untraced node whose ``creal`` is empty, or at
+level 1 holds no live edge, returns the empty matching before its slot
+draws.  This is exact: every draw is addressed by its own key, so skipping a
+node's draws changes no other value.  A traced run evaluates every node, so
+its ``LevelTrace`` list describes the full construction; it is the reference
+the untraced run is tested against.  Counts over the nodes that ran a
+selection (``max_mis_rounds``, the round budgets) leave out skipped nodes.
+
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
 against its crucial matched mass minus a fixed slack.  That table, like
@@ -64,6 +75,7 @@ import numpy as np
 
 from .decomposition import EdgeClassification
 from .errors import CandidateWalkCapError, ParameterOverflowError
+from .matching import _checked_int
 from .mis import luby_rounds, max_conflict_degree, mis_round_budget
 from .randomness import IntKeys, RandomStream, encode_key
 from .stats import binomial_se, check_epsilon
@@ -387,6 +399,7 @@ class VimEngine:
         self.rand = RandomStream(seed, ("vim",))
         self._gamma: dict[int, np.ndarray] = {}
         self._saturated: dict[int, frozenset[int]] = {}
+        # Largest round budget over the nodes that ran a selection.
         self.max_mis_rounds = 0
         self.perturbations_run = 0
         g = classification.graph
@@ -398,6 +411,7 @@ class VimEngine:
         self._keys = IntKeys()
         self._draws: dict = {}
         self._l1_edges: list | None = None
+        self._l1_live: frozenset[int] | None = None
 
     # -- randomness ---------------------------------------------------------
 
@@ -449,6 +463,8 @@ class VimEngine:
         noise errs toward saturating early (never toward overshooting).
         """
         if r not in self._saturated:
+            if r < 1:
+                raise ValueError(f"saturation is defined from level 1 on, got level {r}")
             gam = self.gamma_table(r - 1)
             se = self.gamma_se(r - 1)
             threshold = self.cls.c_v - self.params.slack - self.params.gamma_ci_factor * se
@@ -472,7 +488,8 @@ class VimEngine:
         """Matching (edge ids) of the given crucial realization at ``depth``."""
         if depth < 0:
             raise ValueError(f"depth must be at least 0, got {depth}")
-        creal = frozenset(int(e) for e in crealization)
+        m = self.cls.graph.m
+        creal = frozenset(_checked_int(e, "edge id", m, m) for e in crealization)
         if not creal <= self._cedge_set:
             raise ValueError("input realization contains non-crucial edges")
         return self._find(depth, creal, self.rand.child(*key), trace)
@@ -481,6 +498,10 @@ class VimEngine:
         """Level-r matching of ``creal``; ``rand`` is the stream of this
         node's recursion path, to which every draw appends only its tail."""
         if r == 0:
+            return frozenset()
+        # Slot 0's matching lies in ``creal``, and at level 1 in its live
+        # edges: an untraced node with none returns it without drawing.
+        if trace is None and (creal.isdisjoint(self._live_edges()) if r == 1 else not creal):
             return frozenset()
         bits = rand.uniforms_at(*self._edge_draws(r))
         if r == 1:
@@ -528,6 +549,15 @@ class VimEngine:
         if not z <= creal:
             raise AssertionError("returned matching left the input realization")
         return z
+
+    def _live_edges(self) -> frozenset[int]:
+        """Crucial edges with both ends outside ``saturated_set(1)``: the
+        only edges a level-1 node can match.  Built on first use."""
+        if self._l1_live is None:
+            saturated = self.saturated_set(1)
+            self._l1_live = frozenset(e for e, (u, v) in zip(self._cedges, self._loci)
+                                      if u not in saturated and v not in saturated)
+        return self._l1_live
 
     def _level_one_edges(self) -> list[tuple]:
         """``(u, e, v, j, p_e, tails)`` per crucial edge e = (u, v) at index
@@ -646,6 +676,8 @@ class VimEngine:
 
 def locality_bound(depth: int, walk_cap: int, mis_rounds: int) -> int:
     """Radius bound from the round structure: each level reaches at most one
-    walk span per MIS hop plus the walk around the vertex itself."""
+    walk span per MIS hop plus the walk around the vertex itself.
+    ``mis_rounds`` is the largest round budget over the nodes that ran a
+    selection, as ``VimEngine.max_mis_rounds`` records it."""
     return depth * walk_cap * (2 * mis_rounds + 1)
 

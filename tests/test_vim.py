@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from stochmatch.decomposition import classify
 from stochmatch.generators import erdos_renyi
 from stochmatch.graph import StochasticGraph
+from stochmatch.matching import max_matching
 from stochmatch.oracle import exact_stats
 from stochmatch.vim import (
     Hyperwalk,
@@ -375,6 +376,9 @@ def test_negative_depth_is_refused():
         engine.gamma_table(-1)
     with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
         engine.dependency_radius(0, -1)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"from level 1 on, got level {r}$"):
+            engine.saturated_set(r)
 
 
 def test_dependency_radius_needs_a_trial():
@@ -478,8 +482,25 @@ def test_run_rejects_noncrucial_input():
     cls = classify(g, stats.q, tau_minus=0.3, tau_plus=0.4, epsilon=0.3)
     params = VimParams(epsilon=0.3, alpha=0, depth=1, gamma_samples=5)
     engine = VimEngine(cls, params, seed=0)
-    with pytest.raises(ValueError, match="non-crucial"):
-        engine.run(1, [1])
+    # The check precedes every node, early-returning ones included.
+    for depth in (0, 1, 2):
+        with pytest.raises(ValueError, match="non-crucial"):
+            engine.run(depth, [1])
+
+
+def test_run_refuses_edge_ids_that_are_not_integers():
+    # Each input reads as a crucial edge id under int(), so only the integer
+    # check refuses it, with the message of max_matching.
+    engine = _path3_engine()
+    for bad in ([True], [np.bool_(True)], [0.7], [1.9], ["1"], [0, 1.0]):
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            engine.run(1, bad)
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            max_matching(engine.cls.graph, bad)
+    for bad in ([2], [-1]):
+        with pytest.raises(ValueError, match=f"edge id {bad[0]} out of range"):
+            engine.run(1, bad)
+    assert engine.run(1, np.array([0, 1])) == engine.run(1, [0, 1])
 
 
 def test_options_are_the_paper_parameters():
@@ -656,6 +677,49 @@ def test_level_one_refuses_steps_that_share_a_vertex(monkeypatch):
         tuple(range(len(members))), (), 1))
     with pytest.raises(AssertionError, match="share a vertex"):
         engine.run(1, [0, 1], key=("shared", 0))
+
+
+def test_untraced_runs_equal_the_full_evaluation(monkeypatch):
+    # An untraced run returns at once from nodes whose output is provably
+    # empty; a traced run evaluates every node.  Both give the same matching
+    # over random classifications, saturated sets, inputs, depths and
+    # perturbed streams, and the untraced run reaches fewer level-1 nodes,
+    # also where saturated_set(1) is non-empty.
+    calls = []
+    level_one = VimEngine._level_one
+
+    def spy(self, creal, bits, rand, trace):
+        calls.append(trace is None)
+        return level_one(self, creal, bits, rand, trace)
+
+    monkeypatch.setattr(VimEngine, "_level_one", spy)
+    rng = np.random.default_rng(25)
+    seen = {"selected": 0, "fewer_saturated": 0, "live_skip": 0}
+    for i, g in enumerate(small_corpus(count=10, seed=25, max_edges=8)):
+        for cls in (all_crucial(g), classification_for(g)):
+            for depth in (1, 2, 3):
+                engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=2, depth=depth,
+                                                  gamma_samples=8), seed=i)
+                engine._saturated[1] = frozenset(np.flatnonzero(rng.random(g.n) < 0.4).tolist())
+                engine.saturated_set(depth)  # the gamma runs, before the spy counts
+                region = set(np.flatnonzero(rng.random(g.n) < 0.5).tolist())
+                for rand in (engine.rand, engine.rand.perturbed(depth, region.issuperset)):
+                    engine.rand = rand
+                    for s in range(3):
+                        key = ("diff", s)
+                        creal = frozenset(e for e in cls.crucial_edges if rng.random() < 0.6)
+                        calls.clear()
+                        fast = engine.run(depth, creal, key)
+                        untraced = len(calls)
+                        full = engine.run(depth, creal, key, trace=[])
+                        traced = len(calls) - untraced
+                        assert fast == full
+                        assert untraced <= traced == (engine.params.alpha + 1) ** (depth - 1)
+                        seen["selected"] += len(fast)
+                        seen["fewer_saturated"] += untraced < traced and bool(
+                            engine.saturated_set(1))
+                        seen["live_skip"] += depth == 1 and bool(creal) and not untraced
+    assert all(seen.values()), seen
 
 
 def test_enumeration_is_exactly_the_taut_subset():
@@ -900,7 +964,7 @@ def test_level_traces_pinned(case, monkeypatch):
         engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300),
                            seed=13)
         runs, tag = 50, "bench"
-        want = "5dae01b049d1b020be6228becc001c9ccccf86389cf5735520597f4f29839dae", 38
+        want = "98893cd9a4a7fdb95a579ab97687f8ecfe85c191ecd0d745f2176d2d66ee6273", 38
     elif case == "er10":
         engine = VimEngine(_er10_all_crucial(),
                            VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)

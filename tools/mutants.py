@@ -137,6 +137,10 @@ MUTANTS = [
     ("level_one_disjointness_raise", "vim.py",
      "if len({x for i in result.in_set for x in members[i]}) != 2 * len(chosen):", "if False:",
      [V + "test_level_one_refuses_steps_that_share_a_vertex"]),
+    ("early_return_live_at_every_level", "vim.py",
+     "(creal.isdisjoint(self._live_edges()) if r == 1 else not creal)",
+     "creal.isdisjoint(self._live_edges())",
+     [V + "test_untraced_runs_equal_the_full_evaluation"]),
     # -- what the enumerator and the walk value keep ---------------------------
     ("leaf_cover_test", "vim.py",
      "if row[cur] == 1 or row[nbr] == 1:", "if False:",
