@@ -486,8 +486,7 @@ class VimEngine:
     def run(self, depth: int, crealization, key: tuple = ("run",),
             trace: list | None = None) -> frozenset[int]:
         """Matching (edge ids) of the given crucial realization at ``depth``."""
-        if depth < 0:
-            raise ValueError(f"depth must be at least 0, got {depth}")
+        depth = _checked_depth(depth)
         m = self.cls.graph.m
         creal = frozenset(_checked_int(e, "edge id", m, m) for e in crealization)
         if not creal <= self._cedge_set:
@@ -645,8 +644,7 @@ class VimEngine:
         is matched, over ``trials`` perturbations per radius."""
         if not 0 <= v < self.cls.graph.n:
             raise ValueError(f"vertex {v} is not in range({self.cls.graph.n})")
-        if depth < 0:
-            raise ValueError(f"depth must be at least 0, got {depth}")
+        depth = _checked_depth(depth)
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         dist = self.cls.crucial_distances(v)
@@ -672,6 +670,17 @@ class VimEngine:
             if stable:
                 return rho
         return ecc
+
+
+def _checked_depth(depth) -> int:
+    """``depth`` as a non-negative int, else a ``ValueError``.  A bool or a
+    float would otherwise pass as a level, and an untraced node whose output
+    is provably empty returns before any draw could refuse it."""
+    if isinstance(depth, (bool, np.bool_)) or not isinstance(depth, (int, np.integer)):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    return int(depth)
 
 
 def locality_bound(depth: int, walk_cap: int, mis_rounds: int) -> int:

@@ -379,6 +379,14 @@ def test_negative_depth_is_refused():
     for r in (0, -1):
         with pytest.raises(ValueError, match=f"from level 1 on, got level {r}$"):
             engine.saturated_set(r)
+    # Each of these reads as a level if unchecked, and an empty input would
+    # return the empty matching before any draw refuses it.
+    for bad in (True, np.bool_(True), 1.0, 2.0, "1"):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            engine.run(bad, [])
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            engine.dependency_radius(0, bad)
+    assert engine.run(np.int64(2), [0], key=("d",)) == engine.run(2, [0], key=("d",))
 
 
 def test_dependency_radius_needs_a_trial():
