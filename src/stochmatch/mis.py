@@ -7,11 +7,12 @@ round, every undecided node draws a fresh priority and joins the independent
 set when it is the strict, unique minimum at every one of its members, which
 is Luby's rule "beats all undecided neighbours"; winners and the nodes that
 share a member with them become decided.  The round budget depends only on
-the maximum degree and the accuracy parameter, never on the number of
-nodes, which is what keeps each node's output a function of a bounded
-neighborhood.  Nodes still undecided when the budget runs out are simply
-left out, so the result is always independent but only approximately
-maximal.
+a bound on the degree and the accuracy parameter, never on the nodes
+themselves, and is fixed before any draw (VIM fixes it once per engine).
+After r rounds a node's state depends only on the nodes within r hops, so
+each node's output is a function of a bounded neighborhood.  Nodes still
+undecided when the budget runs out are simply left out, so the result is
+always independent but only approximately maximal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "MisResult",
     "apx_mis",
     "luby_rounds",
-    "max_conflict_degree",
     "mis_round_budget",
 ]
 
@@ -47,35 +47,6 @@ def mis_round_budget(max_degree: int, epsilon: float) -> int:
     check_epsilon(epsilon)
     delta_fail = epsilon / (10.0 * (max_degree + 1))
     return max(1, math.ceil(_ROUND_FACTOR * math.log2((max_degree + 2) / delta_fail)))
-
-
-def max_conflict_degree(members) -> int:
-    """Largest number of other nodes that share a member with one node.
-
-    One pass counts the nodes per member tuple, and only these groups are
-    intersected: a node of tuple C has degree (number of nodes whose tuple
-    meets C) - 1.  One set in two orders, or with a repeat, is two groups
-    that meet, and a group without members meets nothing.
-    """
-    groups: dict[tuple, int] = {}
-    for m in members:
-        m = tuple(m)
-        groups[m] = groups.get(m, 0) + 1
-    by_member: dict = {}
-    for c in groups:
-        for m in c:
-            by_member.setdefault(m, []).append(c)
-    best = 1  # so that no groups give degree 0
-    for c in groups:
-        met = set()
-        for m in c:
-            met.update(by_member[m])
-        total = 0
-        for d in met:
-            total += groups[d]
-        if total > best:
-            best = total
-    return best - 1
 
 
 def luby_rounds(members, rounds: int, priorities) -> MisResult:

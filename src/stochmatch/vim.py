@@ -7,11 +7,16 @@ selects a vertex-disjoint subset of them with a round-limited randomized
 independent set, and applies them.  The returned matching is slot 0's.
 
 Two walks conflict when they share a vertex.  The independent set runs on
-each walk's vertices as its members, and the round budget needs only the
-largest conflict degree, which ``mis.max_conflict_degree`` computes from the
-walks grouped by member tuple; so no pairwise conflict graph is built on the
-hot path (``build_conflict_graph`` stays as the explicit form and the test
-oracle).  Applying the chosen walks rebuilds only the slots they touch.
+each walk's vertices as its members, so no pairwise conflict graph is built
+on the hot path (``build_conflict_graph`` stays as the explicit form and the
+test oracle).  Its round budget, ``VimEngine.mis_rounds``, is fixed once per
+engine from epsilon and the candidate cap: a node past
+``_MAX_CANDIDATE_WALKS`` candidates raises, so no conflict degree exceeds the
+cap minus one.  A budget taken from a node's own candidates would let walks
+in a far component change it, and with it the output near v.  A fixed one
+makes a walk's fate a function of the walks within that many conflict hops,
+so v's output is a function of a bounded ball around v (``locality_bound``).
+Applying the chosen walks rebuilds only the slots they touch.
 
 Most nodes are at level 1, where every slot matching is empty, so each
 augmenting hyperwalk is one step (e, s): an edge realized in slot s with
@@ -36,7 +41,7 @@ draws.  This is exact: every draw is addressed by its own key, so skipping a
 node's draws changes no other value.  A traced run evaluates every node, so
 its ``LevelTrace`` list describes the full construction; it is the reference
 the untraced run is tested against.  Counts over the nodes that ran a
-selection (``max_mis_rounds``, the round budgets) leave out skipped nodes.
+selection (rounds used, nodes left undecided) leave out skipped nodes.
 
 Saturation compares each vertex's matched frequency at the previous level
 (a memoized Monte Carlo table, so the whole level shares one estimate)
@@ -61,7 +66,8 @@ encodings of their integers; since the hash streams and every draw is
 addressed, batching changes no value, and every value equals the full-key
 ``keyed_uniform`` it replaces.  The saturation margin
 (``VimParams.gamma_ci_factor``), the round factor (``mis._ROUND_FACTOR``)
-and the per-node candidate cap (``_MAX_CANDIDATE_WALKS``) are constants.
+and the per-node candidate cap (``_MAX_CANDIDATE_WALKS``) are constants, so
+the round budget is a function of epsilon alone.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ import numpy as np
 from .decomposition import EdgeClassification
 from .errors import CandidateWalkCapError, ParameterOverflowError
 from .matching import _checked_int
-from .mis import luby_rounds, max_conflict_degree, mis_round_budget
+from .mis import luby_rounds, mis_round_budget
 from .randomness import IntKeys, RandomStream, encode_key
 from .stats import binomial_se, check_epsilon
 
@@ -120,8 +126,8 @@ class VimParams:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if self.alpha < 0 or self.depth < 0 or self.walk_cap < 1 or self.gamma_samples < 1:
-            raise ValueError("alpha, depth >= 0; walk_cap, gamma_samples >= 1")
+        for name, least in (("alpha", 0), ("depth", 0), ("walk_cap", 1), ("gamma_samples", 1)):
+            _checked_count(getattr(self, name), name, least)
 
     @property
     def slack(self) -> float:
@@ -399,8 +405,10 @@ class VimEngine:
         self.rand = RandomStream(seed, ("vim",))
         self._gamma: dict[int, np.ndarray] = {}
         self._saturated: dict[int, frozenset[int]] = {}
-        # Largest round budget over the nodes that ran a selection.
-        self.max_mis_rounds = 0
+        # Luby rounds of every selection, fixed before any draw: a node that
+        # runs has at most _MAX_CANDIDATE_WALKS candidates, so none of them
+        # conflicts with more than _MAX_CANDIDATE_WALKS - 1 others.
+        self.mis_rounds = mis_round_budget(_MAX_CANDIDATE_WALKS - 1, params.epsilon)
         self.perturbations_run = 0
         g = classification.graph
         self._cedges = classification.crucial_edges
@@ -486,7 +494,7 @@ class VimEngine:
     def run(self, depth: int, crealization, key: tuple = ("run",),
             trace: list | None = None) -> frozenset[int]:
         """Matching (edge ids) of the given crucial realization at ``depth``."""
-        depth = _checked_depth(depth)
+        depth = _checked_count(depth, "depth", 0)
         m = self.cls.graph.m
         creal = frozenset(_checked_int(e, "edge id", m, m) for e in crealization)
         if not creal <= self._cedge_set:
@@ -616,15 +624,13 @@ class VimEngine:
 
     def _select(self, r: int, members: list, tails: list[bytes], rand: RandomStream):
         """Luby's rounds over a level-r node's candidates, given by their
-        vertices and their priority tails, under the round budget of their
-        largest conflict degree; raises past ``_MAX_CANDIDATE_WALKS``."""
+        vertices and their priority tails, under the engine's round budget
+        ``mis_rounds``; raises past ``_MAX_CANDIDATE_WALKS``."""
         if len(members) > _MAX_CANDIDATE_WALKS:
             raise CandidateWalkCapError(
                 f"{len(members)} candidate hyperwalks exceed the cap of "
                 f"{_MAX_CANDIDATE_WALKS}; reduce walk_cap or alpha"
             )
-        budget = mis_round_budget(max_conflict_degree(members), self.params.epsilon)
-        self.max_mis_rounds = max(self.max_mis_rounds, budget)
         ik = self._keys
 
         def priorities(rnd: int, nodes: list) -> list:
@@ -634,7 +640,7 @@ class VimEngine:
             return state.uniforms_at(map(tails.__getitem__, nodes),
                                      map(members.__getitem__, nodes))
 
-        return luby_rounds(members, budget, priorities)
+        return luby_rounds(members, self.mis_rounds, priorities)
 
     # -- locality ------------------------------------------------------------
 
@@ -644,7 +650,7 @@ class VimEngine:
         is matched, over ``trials`` perturbations per radius."""
         if not 0 <= v < self.cls.graph.n:
             raise ValueError(f"vertex {v} is not in range({self.cls.graph.n})")
-        depth = _checked_depth(depth)
+        depth = _checked_count(depth, "depth", 0)
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
         dist = self.cls.crucial_distances(v)
@@ -672,21 +678,23 @@ class VimEngine:
         return ecc
 
 
-def _checked_depth(depth) -> int:
-    """``depth`` as a non-negative int, else a ``ValueError``.  A bool or a
-    float would otherwise pass as a level, and an untraced node whose output
-    is provably empty returns before any draw could refuse it."""
-    if isinstance(depth, (bool, np.bool_)) or not isinstance(depth, (int, np.integer)):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
-    return int(depth)
+def _checked_count(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, else a ``ValueError`` that
+    names it ``name``.  A bool or a float would otherwise pass as a count (a
+    level, a slot count), and an untraced node whose output is provably
+    empty returns before any draw could refuse it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def locality_bound(depth: int, walk_cap: int, mis_rounds: int) -> int:
     """Radius bound from the round structure: each level reaches at most one
     walk span per MIS hop plus the walk around the vertex itself.
-    ``mis_rounds`` is the largest round budget over the nodes that ran a
-    selection, as ``VimEngine.max_mis_rounds`` records it."""
+    ``mis_rounds`` is the engine's round budget, ``VimEngine.mis_rounds``:
+    fixed from epsilon and the candidate cap, it bounds the hops of every
+    node, whatever the realizations far from the vertex."""
     return depth * walk_cap * (2 * mis_rounds + 1)
 

@@ -200,7 +200,7 @@ def test_criterion_07_locality():
         engine = VimEngine(cls, params, seed=31 + gi)
         for v in range(g.n):
             radius = engine.dependency_radius(v, 2, trials=trials)
-            bound = locality_bound(2, params.walk_cap, engine.max_mis_rounds)
+            bound = locality_bound(2, params.walk_cap, engine.mis_rounds)
             if radius > bound:
                 violations += 1
         trials_total += engine.perturbations_run

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stochmatch.mis import (
     apx_mis,
     luby_rounds,
-    max_conflict_degree,
     mis_round_budget,
 )
 
@@ -132,17 +131,6 @@ def test_luby_rounds_equals_the_neighbour_rule(members, levels, rounds, seed):
     adj = _shared_member_adjacency(members)
     batched = luby_rounds(members, rounds, lambda r, vs: [priority(r, v) for v in vs])
     assert batched == reference_luby_rounds(adj, rounds, priority)
-    assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
-
-
-@pytest.mark.parametrize("members", [
-    [[], [0, 1], [1, 0], [1, 1]], [[]], [[], []], [[], [2]],
-], ids=["memberless_reordered_repeated", "one_memberless", "two_memberless", "beside_one"])
-def test_max_conflict_degree_of_memberless_nodes(members):
-    # A node without members conflicts with nothing, and one set listed in
-    # two orders or with a repeat still counts each neighbour once.
-    adj = _shared_member_adjacency(members)
-    assert max_conflict_degree(members) == max((len(a) for a in adj), default=0)
 
 
 def test_luby_rounds_tie_at_a_shared_member_blocks_both():

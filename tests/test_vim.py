@@ -4,16 +4,16 @@ import copy
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from stochmatch.decomposition import classify
 from stochmatch.generators import erdos_renyi
+from stochmatch.harness import ExperimentConfig
 from stochmatch.graph import StochasticGraph
 from stochmatch.matching import max_matching
 from stochmatch.oracle import exact_stats
@@ -29,7 +29,6 @@ from stochmatch.vim import (
 )
 from stochmatch import mis, vim
 from stochmatch.errors import CandidateWalkCapError, ParameterOverflowError
-from stochmatch.mis import max_conflict_degree
 from stochmatch.randomness import RandomStream
 
 from helpers import (
@@ -285,23 +284,6 @@ def test_conflict_graph_hub_clique():
         assert adj[i] == set(range(4)) - {i}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=4), max_size=16))
-# Nodes listing one vertex set in different orders, or with a repeat, form
-# one group, and members may come as lists.
-@example([[0, 1, 2], [2, 1, 0], [1, 0, 2, 2], [3, 4], [4, 3], [2, 3], [5, 6], [6, 5, 0]])
-@example([[1, 0], [0, 1], [0, 1]])
-@example([])
-@example([[0, 1], [1, 0], [1, 1]])
-def test_max_conflict_degree_equals_the_conflict_graph(vertex_lists):
-    walks = [Hyperwalk(tuple((i, 0) for i in range(len(vs) - 1)), tuple(vs))
-             for vs in vertex_lists]
-    want = max((len(a) for a in build_conflict_graph(walks)), default=0)
-    assert max_conflict_degree([w.vertices for w in walks]) == want
-    assert max_conflict_degree(vertex_lists) == want
-    assert max_conflict_degree([vs[::-1] for vs in vertex_lists]) == want
-
-
 def test_apply_empty_keeps_profile():
     cls = single_edge_cls()
     prof = Profile(cls, [{0}], [set()])
@@ -519,6 +501,25 @@ def test_options_are_the_paper_parameters():
     assert list(inspect.signature(mis.mis_round_budget).parameters) == ["max_degree", "epsilon"]
 
 
+def test_vim_params_refuse_counts_that_are_not_integers():
+    # A bool, float or str count would run as another value (True as 1) or
+    # fail late inside a run; each is refused where the parameters are built,
+    # by the rule ``run`` applies to its depth.
+    for name, least in (("alpha", 0), ("depth", 0), ("walk_cap", 1), ("gamma_samples", 1)):
+        for bad in (True, np.bool_(True), 2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+                VimParams(epsilon=0.3, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}, got {least - 1}$"):
+            VimParams(epsilon=0.3, **{name: least - 1})
+        assert getattr(VimParams(epsilon=0.3, **{name: np.int64(least)}), name) == least
+    paper = VimParams.paper(0.5, force=True, gamma_samples=40)
+    assert (paper.alpha, paper.depth, paper.walk_cap, paper.gamma_samples) == (127, 512, 3, 40)
+    desk = ExperimentConfig(graph_family="path", alpha=2, depth=1, walk_cap=2).vim_params()
+    assert (desk.alpha, desk.depth, desk.walk_cap, desk.gamma_samples) == (2, 1, 2, 300)
+    paper = ExperimentConfig(graph_family="path", mode="paper", epsilon=0.9).vim_params()
+    assert (paper.alpha, paper.depth, paper.walk_cap) == (1, 3, 2)
+
+
 def test_paper_params_guard():
     with pytest.raises(ParameterOverflowError, match="alpha"):
         VimParams.paper(0.1)
@@ -578,7 +579,7 @@ def test_dependency_radius_far_components():
     # The other component is at infinite distance; the radius stays inside
     # this component (eccentricity 1).
     assert r <= 1
-    bound = locality_bound(2, params.walk_cap, engine.max_mis_rounds)
+    bound = locality_bound(2, params.walk_cap, engine.mis_rounds)
     assert r <= bound
 
 
@@ -618,32 +619,22 @@ def test_conflict_cap_guard(monkeypatch):
 def test_level_one_equals_the_generic_node(monkeypatch):
     # A level-1 node, whose kernel reads its slots straight from one batch of
     # draws, against the generic node body at r = 1 with empty matchings on
-    # slots drawn one edge at a time: the same matching, trace, round budgets
-    # and conflict degrees over random classifications (one of them without
-    # crucial edges), saturated sets, inputs and perturbed streams, and the
-    # same CandidateWalkCapError under a small cap.
-    degrees = []
-    budget = vim.mis_round_budget
-
-    def recording(max_degree, *args):
-        degrees.append(max_degree)
-        return budget(max_degree, *args)
-
-    monkeypatch.setattr(vim, "mis_round_budget", recording)
+    # slots drawn one edge at a time: the same matching and trace over random
+    # classifications (one of them without crucial edges), saturated sets,
+    # inputs and perturbed streams, and the same CandidateWalkCapError under
+    # a small cap.
     rng = np.random.default_rng(7)
     seen = {"selected": 0, "capped": 0, "empty": 0}
 
     def outcome(engine, node):
-        engine.max_mis_rounds = 0
-        degrees.clear()
         trace = []
         try:
             z = node(trace)
         except CandidateWalkCapError as exc:
             seen["capped"] += 1
-            return str(exc), list(degrees)
+            return str(exc)
         seen["selected"] += len(z)
-        return z, trace, engine.max_mis_rounds, list(degrees)
+        return z, trace
 
     def reference(engine, creal, rand, trace):
         g, alpha = engine.cls.graph, engine.params.alpha
@@ -885,27 +876,64 @@ def test_trace_records_undecided_mis_nodes(monkeypatch):
     assert undecided > 0
 
 
-def _trace_digest(engine, runs, tag, monkeypatch):
-    """sha256 of each run's matching and LevelTraces, the conflict degree
-    each node passed to the round budget, and ``engine.max_mis_rounds``."""
-    degrees = []
-    budget = vim.mis_round_budget
+def test_every_selection_gets_the_engine_round_budget(monkeypatch):
+    # The round budget is fixed when the engine is built, before any draw,
+    # from epsilon and the candidate cap: every Luby selection of the engine
+    # gets it, whatever its node's candidates, and a round factor changed
+    # afterwards moves nothing.
+    calls = []
+    luby = vim.luby_rounds
 
-    def recording(max_degree, *args):
-        degrees.append(max_degree)
-        return budget(max_degree, *args)
+    def spy(members, budget, priorities):
+        calls.append((len(members), budget))
+        return luby(members, budget, priorities)
 
-    monkeypatch.setattr(vim, "mis_round_budget", recording)
+    monkeypatch.setattr(vim, "luby_rounds", spy)
+    engine = _er10_engine()
+    assert engine.mis_rounds == mis.mis_round_budget(vim._MAX_CANDIDATE_WALKS - 1, 0.3) == 77
+    monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.05)
+    for s in range(10):
+        key = ("spy", s)
+        engine.run(2, engine.input_realization(key), key=key, trace=[])
+    candidates, budgets = zip(*calls)
+    assert len(set(candidates)) > 5 and set(budgets) == {77}
+
+
+def test_far_component_leaves_the_output_unchanged(monkeypatch):
+    # Vertex independence at infinite distance, exactly: at a round factor
+    # where budgets bind, the matching on a 4-vertex path is the same whether
+    # a K6 beside it is realized in full or not at all.  A budget taken from
+    # each node's candidates grows with K6's walks and changes it.
+    k6 = [(u, v, 0.8) for u, v in itertools.combinations(range(4, 10), 2)]
+    g = StochasticGraph(10, [(0, 1, 0.8), (1, 2, 0.8), (2, 3, 0.8)] + k6)
+    cls = all_crucial(g)
+    assert len(cls.crucial_edges) == g.m
+    monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.07)
+    engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=3, depth=1, gamma_samples=20), seed=0)
+    path, clique = frozenset(range(3)), frozenset(range(3, g.m))
+    matched = 0
+    for s in range(200):
+        key = ("far", s)
+        alone = engine.run(1, path, key) & path
+        assert engine.run(1, path | clique, key) & path == alone, s
+        matched += bool(alone)
+    assert matched > 0
+
+
+def _trace_digest(engine, runs, tag):
+    """sha256 of each run's matching and LevelTraces, and ``engine.mis_rounds``;
+    with the number of MIS nodes the traces leave undecided."""
     parts = []
+    undecided = 0
     for s in range(runs):
         key = (tag, s)
         trace = []
         z = engine.run(engine.params.depth, engine.input_realization(key), key=key,
                        trace=trace)
         parts.append((sorted(z), [dataclasses.astuple(t) for t in trace]))
-    parts.append(degrees)
-    parts.append(engine.max_mis_rounds)
-    return _sha_lines(parts)
+        undecided += sum(t.mis_undecided for t in trace)
+    parts.append(engine.mis_rounds)
+    return _sha_lines(parts), undecided
 
 
 def _er10_all_crucial():
@@ -962,26 +990,23 @@ def test_matched_indicators_equal_the_sampling_loop(make):
 @pytest.mark.parametrize("case", ["path3", "er10", "er10_one_round"])
 def test_level_traces_pinned(case, monkeypatch):
     # Every LevelTrace (candidates, selected, MIS rounds and undecided nodes,
-    # slot sizes), every node's conflict degree and the largest round budget,
-    # recorded with the explicit conflict graph: a change of the degree, the
-    # budget or the rounds moves them even where the matchings stay.
-    # er10_one_round leaves MIS nodes undecided.
+    # slot sizes) and the engine's round budget: a change of the budget or
+    # the rounds moves them even where the matchings stay.  er10_one_round's
+    # round factor gives a budget of one round, which leaves MIS nodes
+    # undecided.
     if case == "path3":
-        g = StochasticGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        cls = classify(g, exact_stats(g).q, 0.1, 0.2, epsilon=0.3)
-        engine = VimEngine(cls, VimParams(epsilon=0.3, alpha=11, depth=2, gamma_samples=300),
-                           seed=13)
+        engine = _path3_engine()
         runs, tag = 50, "bench"
-        want = "98893cd9a4a7fdb95a579ab97687f8ecfe85c191ecd0d745f2176d2d66ee6273", 38
+        want = "7df2469a5bffd3cf21f6c78edc6b9c1fa763c6ff2cf46d433315367de92704be", 77
     elif case == "er10":
-        engine = VimEngine(_er10_all_crucial(),
-                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)
+        engine = _er10_engine()
         runs, tag = 30, "pin"
-        want = "fcbb4a58cf37c6f76c62c530f1a93929053fd225f53742d0a2d270bd88c858b9", 35
+        want = "c6f5cf3eb1929e31b084547efd0525aa2aaf1916eb83b6096a6d330c427982cb", 77
     else:
-        monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.05)
-        engine = VimEngine(_er10_all_crucial(),
-                           VimParams(epsilon=0.3, alpha=3, depth=2, gamma_samples=40), seed=5)
+        monkeypatch.setattr(mis, "_ROUND_FACTOR", 0.02)
+        engine = _er10_engine()
         runs, tag = 30, "pin"
-        want = "12bd4f3c9c0a936145a56743f7c93ba9b30069fa4a445629521625fc3f9855ba", 1
-    assert (_trace_digest(engine, runs, tag, monkeypatch), engine.max_mis_rounds) == want
+        want = "4535a50822ffc300944ee856fe7f7d8d6d777802135008e2bef2d808d9b37230", 1
+    digest, undecided = _trace_digest(engine, runs, tag)
+    assert (digest, engine.mis_rounds) == want
+    assert undecided > 0 if case == "er10_one_round" else undecided == 0

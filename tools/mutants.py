@@ -52,6 +52,12 @@ MUTANTS = [
     ("sum_d", "vim.py",
      "return sum(map(len, self.cover))", "return sum(map(len, self.cover[1:]))",
      [V + "test_apply_counts", V + "test_counting_identity_recorded_every_level"]),
+    # A per-node budget: the largest conflict degree of the node's candidates.
+    ("per_node_round_budget", "vim.py",
+     "return luby_rounds(members, self.mis_rounds, priorities)",
+     "return luby_rounds(members, mis_round_budget(max(map(len, build_conflict_graph("
+     "[_Walk((), m) for m in members])), default=0), self.params.epsilon), priorities)",
+     [V + "test_far_component_leaves_the_output_unchanged"]),
     ("walk_cap_raise", "vim.py",
      "raise CandidateWalkCapError(", "print(",
      [V + "test_conflict_cap_guard"]),
@@ -89,9 +95,6 @@ MUTANTS = [
     ("luby_tie_rule", "mis.py",
      "(rec[2] is not None and not p < rec[2])", "(rec[2] is not None and p > rec[2])",
      ["tests/test_mis.py::test_luby_rounds_tie_at_a_shared_member_blocks_both"]),
-    ("conflict_degree_minus_one", "mis.py",
-     "    return best - 1\n", "    return best\n",
-     [V + "test_max_conflict_degree_equals_the_conflict_graph"]),
     ("counting_identity_raise", "vim.py",
      "if d_before + 2 * len(chosen) != d_after:", "if False:",
      ["tests/test_harness.py::test_broken_counting_identity_aborts"]),
@@ -148,9 +151,6 @@ MUTANTS = [
     ("walk_length_check", "vim.py",
      "if len(vertices) != len(steps) + 1:", "if False:",
      [V + "test_hyperwalk_constructor_checks_lengths"]),
-    ("conflict_degree_start", "mis.py",
-     "best = 1  #", "best = 0  #",
-     [V + "test_max_conflict_degree_equals_the_conflict_graph"]),
     # -- argument checks -------------------------------------------------------
     ("c_lambda_positive", "decomposition.py",
      "if not c_lambda > 0:", "if False:",
@@ -166,6 +166,10 @@ MUTANTS = [
      'if self.mode == "paper" and fixed:', "if False:",
      ["tests/test_harness.py::test_config_validation",
       C + "test_input_errors_exit_2_without_a_traceback[paper_mode_with_alpha]"]),
+    ("vim_params_integer_check", "vim.py",
+     "_checked_count(getattr(self, name), name, least)",
+     "if getattr(self, name) < least: raise ValueError(name)",
+     [V + "test_vim_params_refuse_counts_that_are_not_integers"]),
     ("dependency_radius_trials", "vim.py",
      "if trials < 1:", "if False:",
      [V + "test_dependency_radius_needs_a_trial"]),
