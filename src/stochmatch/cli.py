@@ -6,20 +6,22 @@ graph, VIM parameters, R and every default from it.  The flags are
 
   all             --graph --family --params --seed
   oracle          --out --cap
-  decompose       --epsilon --samples --out --t0 --gamma --paper-schedule
+  decompose       --epsilon --samples --out --t0 --gamma --paper-constants
   sparsify        --out --R --baseline
   contract        --epsilon --out --opt
-  vim, certify    the decompose flags, --force-paper-constants --paper-constants
-                  --alpha --depth --walk-cap --gamma-samples --runs (certify: --R)
+  vim, certify    the decompose flags, --force-paper-constants --alpha --depth
+                  --walk-cap --gamma-samples --runs (certify: --R)
   experiment      --epsilon --samples --out --force-paper-constants
                   --paper-constants --config
 
-vim and certify print the reports of the harness's independence test and
-certificate batch.  Output is JSON by default; csv writes one row per leaf of
-the payload, the dotted key path and the JSON-encoded value.  experiment exits
-nonzero when any non-informational check fails.  Bad input (an unreadable
-graph or config file included) and tripped guards print ``error: <message>``
-to stderr and exit 2, without a traceback.
+decompose, vim and certify run the pipeline's decomposition stages
+(``harness.decompose``); vim and certify print the reports of the harness's
+independence test and certificate batch.  Output is JSON by default; csv
+writes one row per leaf of the payload, the dotted key path and the
+JSON-encoded value.  experiment exits nonzero when any non-informational
+check fails.  Bad input (an unreadable graph or config file included) and
+tripped guards print ``error: <message>`` to stderr and exit 2, without a
+traceback.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import sys
 from dataclasses import fields
 
 from .certificate import certificate_size_report
-from .decomposition import classify, estimate_q, threshold_schedule
 from .errors import StochmatchError
 from .harness import (
     ExperimentConfig,
+    decompose,
     independence_test,
     jsonify,
     report_json,
@@ -102,19 +104,8 @@ def _cmd_oracle(args, config):
     return 0
 
 
-def _decompose(args, config, g):
-    est = estimate_q(g, config.q_samples, config.seed)
-    schedule = threshold_schedule(
-        est.q_hat, est.opt_hat, config.epsilon, g.p_min,
-        f_shape="paper" if args.paper_schedule else "geometric",
-        t0=config.t0, gamma=config.gamma,
-    )
-    cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, config.epsilon)
-    return est, schedule, cls
-
-
 def _cmd_decompose(args, config):
-    est, schedule, cls = _decompose(args, config, config.load_graph())
+    est, _oracle, schedule, cls = decompose(config, config.load_graph())
     _emit(args, {
         "opt_hat": est.opt_hat,
         "tau_minus": schedule.tau_minus,
@@ -154,8 +145,7 @@ def _cmd_contract(args, config):
 def _cmd_vim(args, config):
     if args.runs < 2:
         raise StochmatchError(f"vim needs --runs >= 2 to estimate covariances, got {args.runs}")
-    g = config.load_graph()
-    _est, _schedule, cls = _decompose(args, config, g)
+    _est, _oracle, _schedule, cls = decompose(config, config.load_graph())
     params = config.vim_params()
     engine = VimEngine(cls, params, config.seed)
     report = independence_test(engine, args.runs)
@@ -173,13 +163,16 @@ def _cmd_vim(args, config):
 
 
 def _cmd_certify(args, config):
+    if args.runs < 1:
+        raise StochmatchError(f"certify needs --runs >= 1, got {args.runs}")
     g = config.load_graph()
-    est, schedule, cls = _decompose(args, config, g)
+    est, oracle, schedule, cls = decompose(config, g)
     R = config.sparsifier_R(schedule.tau_minus)
     engine = VimEngine(cls, config.vim_params(), config.seed)
     records = run_certificate_batch(engine, R, args.runs, config.seed)
     rep = certificate_size_report(records, config.epsilon, p_min=g.p_min)
-    freport = run_f_property_batch(cls, R, args.runs, config.seed, q_se=est.se_q)
+    freport = run_f_property_batch(cls, R, args.runs, config.seed,
+                                   q_se=est.se_q if oracle is None else None)
     _emit(args, {
         "mean_x": rep.mean_x,
         "mean_y": rep.mean_y,
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "schedule" in flags:
             p.add_argument("--t0", type=float)
             p.add_argument("--gamma", type=float)
-            p.add_argument("--paper-schedule", action="store_true", default=False)
+            p.add_argument("--paper-constants", dest="mode", action="store_const", const="paper")
         p.set_defaults(fn=fn)
         return p
 
@@ -264,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--walk-cap", dest="walk_cap", type=int)
         p.add_argument("--gamma-samples", dest="gamma_samples", type=int)
         p.add_argument("--runs", type=int, default=100)
-        p.add_argument("--paper-constants", dest="mode", action="store_const", const="paper")
         if name == "certify":
             p.add_argument("--R", type=int,
                            help="sparsifier width; defaults to the guarded 1/(2 tau_minus)")

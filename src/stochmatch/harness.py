@@ -49,6 +49,7 @@ __all__ = [
     "run_f_property_batch",
     "ExperimentConfig",
     "ExperimentReport",
+    "decompose",
     "run_pipeline",
     "assumption_holds",
 ]
@@ -448,6 +449,31 @@ class _StageTimer:
         return result
 
 
+def decompose(config: ExperimentConfig, g: StochasticGraph, timer=None):
+    """The pipeline's estimate_q, oracle, schedule and classify stages on ``g``.
+
+    The schedule and the classification both use the reference q: the exact
+    oracle's when ``g.m <= config.oracle_cap``, else the estimate's.  Returns
+    ``(est, oracle, schedule, classification)``; ``oracle`` is None when it
+    did not run.  Each stage runs under ``timer`` (a new one when None), so
+    an error names its stage.
+    """
+    timer = timer or _StageTimer()
+    est = timer.run("estimate_q", lambda: estimate_q(g, config.q_samples, config.seed))
+    oracle = None
+    if g.m <= config.oracle_cap:
+        oracle = timer.run("oracle", lambda: exact_stats(g, cap=config.oracle_cap))
+    q_ref, opt_ref = (est.q_hat, est.opt_hat) if oracle is None else (oracle.q, oracle.opt)
+    paper = config.mode == "paper"
+    schedule = timer.run("schedule", lambda: threshold_schedule(
+        q_ref, opt_ref, config.epsilon, g.p_min,
+        f_shape="paper" if paper else "geometric", t0=config.t0, gamma=config.gamma))
+    classification = timer.run("classify", lambda: classify(
+        g, q_ref, schedule.tau_minus, schedule.tau_plus, config.epsilon,
+        c_lambda=config.c_lambda, lambda_mode="paper" if paper else "desk"))
+    return est, oracle, schedule, classification
+
+
 def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     """decompose -> build Q -> vertex-independent matching -> certificate -> checks."""
     timer = _StageTimer()
@@ -462,7 +488,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"the graph has no edges (n = {g.n}); the pipeline needs at least one")
     stages["graph"] = {"n": g.n, "m": g.m, "p_min": g.p_min}
 
-    est = timer.run("estimate_q", lambda: estimate_q(g, config.q_samples, config.seed))
+    est, oracle, schedule, classification = decompose(config, g, timer)
     stages["estimate_q"] = {
         "samples": est.samples,
         "opt_hat": est.opt_hat,
@@ -476,9 +502,7 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         sum_mu=est.sum_mu,
     )
 
-    oracle = None
-    if g.m <= config.oracle_cap:
-        oracle = timer.run("oracle", lambda: exact_stats(g, cap=config.oracle_cap))
+    if oracle is not None:
         stages["oracle"] = {"opt": oracle.opt, "q": oracle.q.tolist()}
         bad = [
             e
@@ -489,17 +513,8 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         ]
         add_check("q_oracle_agreement", "pass" if not bad else "fail", edges_out=bad)
 
-    q_ref = oracle.q if oracle is not None else est.q_hat
+    q_ref = classification.q
     opt_ref = oracle.opt if oracle is not None else est.opt_hat
-
-    f_shape = "paper" if config.mode == "paper" else "geometric"
-    schedule = timer.run(
-        "schedule",
-        lambda: threshold_schedule(
-            q_ref, opt_ref, config.epsilon, g.p_min,
-            f_shape=f_shape, t0=config.t0, gamma=config.gamma,
-        ),
-    )
     stages["schedule"] = {
         "tau_minus": schedule.tau_minus,
         "tau_plus": schedule.tau_plus,
@@ -519,14 +534,6 @@ def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
         target=(1 - config.epsilon) * opt_ref,
     )
 
-    classification = timer.run(
-        "classify",
-        lambda: classify(
-            g, q_ref, schedule.tau_minus, schedule.tau_plus, config.epsilon,
-            c_lambda=config.c_lambda,
-            lambda_mode="paper" if config.mode == "paper" else "desk",
-        ),
-    )
     stages["classify"] = {
         "crucial": list(classification.crucial_edges),
         "noncrucial": list(classification.noncrucial_edges),

@@ -12,7 +12,7 @@ import pytest
 
 from stochmatch import harness
 from stochmatch.cli import build_parser, main
-from stochmatch.decomposition import classify, estimate_q, threshold_schedule
+from stochmatch.decomposition import classify
 from stochmatch.generators import path
 from stochmatch.harness import ExperimentConfig, independence_test, report_json
 from stochmatch.sparsifier import build_baseline_iterative
@@ -57,6 +57,58 @@ def test_decompose_an_edgeless_graph(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["opt_hat"] == 0.0 and payload["labels"] == []
     assert payload["c_v"] == payload["n_v"] == [0.0, 0.0, 0.0]
+
+
+# Tiny counts for the pipeline stages after classify: these tests read only
+# the decomposition stages.
+_TINY_PIPELINE = dict(q_samples=300, vim_runs=2, cert_runs=1, gamma_samples=1,
+                      ratio_outer=2, ratio_inner=1, ratio_denom=2, alpha=1, depth=1)
+
+
+@pytest.mark.parametrize("params, seed, oracle_ran", [
+    ({"n": 5, "p": 0.5}, 4, True),
+    ({"n": 17, "p": 0.5}, 0, False),
+], ids=["path5_oracle", "path17_estimate"])
+def test_decompose_prints_the_pipeline_decomposition(capsys, params, seed, oracle_ran):
+    # path(5) has m = 4 <= oracle_cap, so the pipeline classifies on the exact
+    # q; path(17) has m = 16 > oracle_cap, so it classifies on q_hat.
+    code, out = _run(capsys, ["decompose", "--family", "path", "--params", json.dumps(params),
+                              "--seed", str(seed), "--samples", "300"])
+    assert code == 0
+    payload = json.loads(out)
+    config = ExperimentConfig(graph_family="path", graph_params=params, seed=seed,
+                              **_TINY_PIPELINE)
+    stages = harness.run_pipeline(config).stages
+    assert ("oracle" in stages) == oracle_ran
+    schedule, cls = stages["schedule"], stages["classify"]
+    labels = {e: name for name in ("crucial", "noncrucial", "ignored") for e in cls[name]}
+    assert payload["labels"] == [labels[e] for e in range(len(labels))]
+    assert (payload["tau_minus"], payload["tau_plus"]) == (schedule["tau_minus"],
+                                                           schedule["tau_plus"])
+    for key in ("lambda", "c_v", "n_v"):
+        assert payload[key] == cls[key], key
+    # Both classify on the reference q: the oracle's when it ran.
+    q_ref = stages["oracle"]["q"] if oracle_ran else stages["estimate_q"]["q_hat"]
+    expected = classify(config.load_graph(), q_ref, schedule["tau_minus"],
+                        schedule["tau_plus"], config.epsilon)
+    assert payload["labels"] == list(expected.labels)
+    assert payload["c_v"] == expected.c_v.tolist()
+    assert payload["n_v"] == expected.n_v.tolist()
+
+
+@pytest.mark.parametrize("command", ["decompose", "vim", "certify"])
+def test_paper_constants_stop_where_the_pipeline_does(capsys, command):
+    # At epsilon 0.9 the paper-scale schedule underflows at its second level.
+    flags = ["--family", "path", "--params", '{"n": 3, "p": 0.5}', "--samples", "300",
+             "--epsilon", "0.9", "--paper-constants"]
+    assert main(["experiment", *flags]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: [stage schedule] paper-scale schedule underflowed")
+    code = main([command, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == expected
 
 
 def test_sparsify_members(capsys):
@@ -111,10 +163,8 @@ def test_vim_prints_the_independence_report(capsys):
     code, out = _run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    g = path(3, 0.6)
-    est = estimate_q(g, 2000, 0)
-    schedule = threshold_schedule(est.q_hat, est.opt_hat, 0.3, g.p_min)
-    cls = classify(g, est.q_hat, schedule.tau_minus, schedule.tau_plus, 0.3)
+    _est, _oracle, _schedule, cls = harness.decompose(ExperimentConfig(q_samples=2000),
+                                                      path(3, 0.6))
     params = VimParams(epsilon=0.3, alpha=2, depth=1, walk_cap=3, gamma_samples=50)
     report = independence_test(VimEngine(cls, params, 0), 20)
     assert payload["per_vertex_match_freq"] == report.match_freq
@@ -153,6 +203,19 @@ def test_vim_builds_each_gamma_level_once(capsys, monkeypatch):
     assert code == 0
     assert set(json.loads(out)["size_by_depth"]) == {"0", "1", "2"}
     assert sorted(built) == [0, 1, 2]
+
+
+def test_certify_refuses_fewer_than_one_run_before_any_stage(capsys, monkeypatch):
+    def estimate_q_not_reached(*args, **kwargs):
+        raise AssertionError("estimate_q ran before --runs was checked")
+
+    monkeypatch.setattr(harness, "estimate_q", estimate_q_not_reached)
+    code = main(["certify", "--family", "path", "--params", '{"n": 3, "p": 0.5}',
+                 "--runs", "0", "--R", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: certify needs --runs >= 1, got 0\n"
 
 
 def test_certify_output(capsys):
@@ -334,9 +397,9 @@ def test_input_errors_exit_2_without_a_traceback(capsys, tmp_path, argv, message
 
 _GRAPH_FLAGS = {"--graph", "--family", "--params", "--seed"}
 _DECOMPOSE_FLAGS = _GRAPH_FLAGS | {"--epsilon", "--samples", "--out", "--t0", "--gamma",
-                                   "--paper-schedule"}
-_VIM_FLAGS = _DECOMPOSE_FLAGS | {"--force-paper-constants", "--paper-constants", "--alpha",
-                                 "--depth", "--walk-cap", "--gamma-samples", "--runs"}
+                                   "--paper-constants"}
+_VIM_FLAGS = _DECOMPOSE_FLAGS | {"--force-paper-constants", "--alpha", "--depth",
+                                 "--walk-cap", "--gamma-samples", "--runs"}
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
@@ -358,7 +421,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                                       "--force-paper-constants", "--paper-constants",
                                       "--config"},
     }
-    assert sum(len(opts) for opts in flags.values()) == 79
+    assert sum(len(opts) for opts in flags.values()) == 77
     # ``stochmatch --help`` lists each subcommand with its help line.
     helps = {a.dest: a.help for a in commands._choices_actions}
     assert helps.keys() == flags.keys() and all(helps.values())

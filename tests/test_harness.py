@@ -409,8 +409,9 @@ class _Stop(Exception):
 @pytest.mark.parametrize("oracle_cap", [1, 14], ids=["estimate", "oracle"])
 def test_pipeline_f_band_counts_the_q_error_without_an_oracle(monkeypatch, oracle_cap):
     # Without the exact oracle (m = 2 > oracle_cap) q comes from estimate_q,
-    # so the f-edge band must widen by its standard errors, as `certify` does;
-    # with the oracle q is exact and no standard error is passed.
+    # so the f-edge band must widen by its standard errors; with the oracle q
+    # is exact and no standard error is passed.  `certify` passes q_se by the
+    # same rule.
     seen = {}
 
     def record(*args, **kwargs):

@@ -162,6 +162,9 @@ MUTANTS = [
     ("pipeline_f_band_q_se", "harness.py",
      "            q_se=est.se_q if oracle is None else None,\n", "",
      ["tests/test_harness.py::test_pipeline_f_band_counts_the_q_error_without_an_oracle"]),
+    ("certify_runs_check", "cli.py",
+     "if args.runs < 1:", "if False:",
+     [C + "test_certify_refuses_fewer_than_one_run_before_any_stage"]),
     ("paper_mode_fixed_fields", "harness.py",
      'if self.mode == "paper" and fixed:', "if False:",
      ["tests/test_harness.py::test_config_validation",
@@ -199,6 +202,10 @@ MUTANTS = [
     ("generator_p_index", "generators.py",
      "[ik[i] for i, _ in kept]", "[ik[i] for i in range(len(kept))]",
      [H + "test_generators_equal_the_per_pair_reference", H + "test_generated_edges_pinned"]),
+    # -- the decomposition stages the pipeline and the CLI share ---------------
+    ("decompose_reference_q", "harness.py",
+     "g, q_ref, schedule.tau_minus", "g, est.q_hat, schedule.tau_minus",
+     [C + "test_decompose_prints_the_pipeline_decomposition"]),
 ]
 
 # (name, file, old text, new text, the tests it must pass, why it is equivalent)
